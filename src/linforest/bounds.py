@@ -13,9 +13,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .forest import leaf_exchange, max_linear_forest_value
-from .generate import enumerate_trees, kary_tree, num_labeled_trees, prufer_from_rank
-from .graph import Graph, RootedTree, line_graph, tree_diameter, tree_stats
+from .forest import _forest_values, _leaf_exchange_arrays
+from .generate import (
+    ENUMERATION_CAP,
+    enumerate_tree_arrays,
+    kary_tree,
+    num_labeled_trees,
+    prufer_from_rank,
+)
+from .graph import Graph, RootedTree, hc_bound_counts, line_graph, tree_stats
 from .oracle import decycling_number, max_linear_forest_bf
 
 
@@ -395,31 +401,45 @@ class VerifyRun:
         return lines
 
 
-def _leaf_pairs(g: Graph, cfg: SweepConfig, rank: int) -> list[tuple[int, int]]:
-    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+def _leaf_pairs(degree: list[int], cfg: SweepConfig, rank: int) -> list[tuple[int, int]]:
+    n = len(degree)
+    leaves = [v for v in range(n) if degree[v] == 1]
     pairs = [(a, b) for a in leaves for b in leaves if a != b]
     if cfg.leaf_exchange_all_pairs or len(pairs) <= cfg.leaf_exchange_samples:
         return pairs
-    # per-tree seed, so the draw is independent of range partitioning
-    rng = random.Random(hash((cfg.seed, g.n, rank)))
+    # per-tree seed, so the draw is independent of range partitioning and
+    # of the interpreter's hash(); the mix is injective for n < 2^8 and
+    # rank < 2^40, which covers every enumerable n
+    rng = random.Random((((cfg.seed << 8) + n) << 40) + rank)
     return rng.sample(pairs, cfg.leaf_exchange_samples)
 
 
 def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[BoundReport]]:
-    """Worker: check every tree with Prüfer rank in [start, stop)."""
+    """Worker: check every tree with Prüfer rank in [start, stop).
+
+    Each tree stays in its decoded arrays: one pass gives l and the
+    diameter, the degrees give the hc-bound counts, and a leaf exchange is
+    one parent change plus a pass. A Graph is built only for the oracles.
+    """
     n, start, stop, cfg = args
     counts = {check: CheckCounts() for check in CHECKS}
     violations: list[BoundReport] = []
     slack = cfg.upper_slack
+    run_dp_oracle = n <= cfg.dp_oracle_max_n
+    run_leaf_exchange = 2 <= n <= cfg.leaf_exchange_max_n
+    run_decycling = 2 <= n <= cfg.decycling_max_n
 
     def describe(rank: int) -> str:
         seq = ",".join(map(str, prufer_from_rank(n, rank)))
         return f"prufer[{seq}]" if seq else f"tree(n={n})"
 
-    for rank, g in enumerate(enumerate_trees(n, start, stop), start=start):
-        lv = max_linear_forest_value(RootedTree(g, 0))
+    for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
+        lv, _, _, d = _forest_values(parent, order, diameter=True)
+        edges = [(v, parent[v]) for v in order[:-1]]
+        if run_dp_oracle or run_decycling:
+            g = Graph(n, edges, validate=False)
 
-        if n <= cfg.dp_oracle_max_n:
+        if run_dp_oracle:
             c = counts["dp-oracle"]
             c.checked += 1
             bf = max_linear_forest_bf(g).value
@@ -431,7 +451,6 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
         else:
             counts["dp-oracle"].skipped += 1
 
-        d = tree_diameter(g)
         if d >= 4:
             c = counts["diameter"]
             c.checked += 1
@@ -448,16 +467,9 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
             counts["diameter"].skipped += 1
 
         if n >= 2:
-            degs = [g.degree(v) for v in range(n)]
-            out = sum(1 for dv in degs if dv == 1)
-            ex_sum = 0
-            for v in range(n):
-                if degs[v] >= 2:
-                    low = sum(1 for w in g.adjacency[v] if degs[w] < 3)
-                    if low > 2:
-                        ex_sum += low - 2
+            out, excess = hc_bound_counts(degree, edges)
             hc = n - lv
-            lower = (out + ex_sum + 1) // 2
+            lower = (out + sum(excess) + 1) // 2
             upper = out - 1 - slack
             c = counts["hc-bounds"]
             c.checked += 1
@@ -471,12 +483,11 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
         else:
             counts["hc-bounds"].skipped += 1
 
-        if 2 <= n <= cfg.leaf_exchange_max_n:
+        if run_leaf_exchange:
             c = counts["leaf-exchange"]
             c.checked += 1
-            for u_i, u_j in _leaf_pairs(g, cfg, rank):
-                moved = leaf_exchange(g, u_i, u_j)
-                lv2 = max_linear_forest_value(RootedTree(moved, 0))
+            for u_i, u_j in _leaf_pairs(degree, cfg, rank):
+                lv2 = _forest_values(*_leaf_exchange_arrays(parent, order, u_i, u_j))[0]
                 if lv2 < lv:
                     c.violations += 1
                     violations.append(
@@ -494,7 +505,7 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
         else:
             counts["leaf-exchange"].skipped += 1
 
-        if 2 <= n <= cfg.decycling_max_n:
+        if run_decycling:
             c = counts["decycling"]
             c.checked += 1
             nabla = decycling_number(line_graph(g).graph).value
@@ -537,8 +548,6 @@ def verify_theorems(
     """
     if n_min < 2:
         raise ValueError("sweep starts at n=2")
-    from .generate import ENUMERATION_CAP
-
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max={n_max} exceeds enumeration cap {ENUMERATION_CAP}")
     counts = {check: CheckCounts() for check in CHECKS}

@@ -244,17 +244,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.n_max > args.cap_n:
         raise CliError(f"n_max={args.n_max} exceeds cap {args.cap_n}")
-    if args.n_max > generate.ENUMERATION_CAP:
-        raise CliError(
-            f"n_max={args.n_max} exceeds enumeration cap {generate.ENUMERATION_CAP}"
-        )
     processes = args.threads if args.threads > 0 else (os.cpu_count() or 1)
     config = bounds.SweepConfig(
         seed=args.seed,
         leaf_exchange_all_pairs=args.all_leaf_pairs,
         upper_slack=1 if args.mutate_bounds else 0,
     )
-    run = bounds.verify_theorems(args.n_max, config, processes=processes)
+    try:
+        run = bounds.verify_theorems(args.n_max, config, processes=processes)
+    except ValueError as exc:  # n_max above the enumeration cap
+        raise CliError(str(exc)) from exc
     for line in run.summary_lines():
         print(line)
     if args.out is not None:

@@ -12,6 +12,7 @@ with the cheapest switching cost matter, which keeps the whole pass linear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, RootedTree, TreeStats, root_at_center
 
@@ -91,37 +92,62 @@ def is_linear_forest(g: Graph, edges) -> bool:
     return True
 
 
-def _forest_values(t: RootedTree) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Bottom-up pass; returns per-vertex (free value, constrained value,
-    top child, second child). Child slots are -1 when unused."""
-    n = t.n
-    f = [0] * n
-    fc = [0] * n
+def _forest_values(
+    parent: Sequence[Optional[int]], order: Iterable[int], diameter: bool = False
+) -> tuple[int, list[int], list[int], Optional[int]]:
+    """Bottom-up pass over a rooted tree given as parent pointers (None at
+    the root) and an iterable listing children before parents, root last.
+
+    Each vertex, once final, pushes its free value f, its gain fc + 1 - f
+    from being constrained to degree <= 1, and (with ``diameter``) its
+    height into its parent's running sum and top-two slots. Among equal
+    gains the smaller child id wins, so the choice does not depend on the
+    order. Returns (f at the root, top child, second child, diameter or
+    None); child slots are -1 when unused.
+    """
+    n = len(parent)
+    base = [0] * n
+    g1 = [-1] * n
+    g2 = [-1] * n
     top = [-1] * n
     second = [-1] * n
-    for v in reversed(t.order):
-        kids = t.children[v]
-        if not kids:
-            continue
-        base = 0
-        best1 = best2 = -1
-        g1 = g2 = -1
-        for c in kids:  # ascending ids: first maximum wins ties
-            base += f[c]
-            gc = fc[c] + 1 - f[c]
-            if gc > g1:
-                best2, g2 = best1, g1
-                best1, g1 = c, gc
-            elif gc > g2:
-                best2, g2 = c, gc
-        fc[v] = base + g1
-        top[v] = best1
-        if len(kids) >= 2:
-            f[v] = base + g1 + g2
-            second[v] = best2
+    if diameter:
+        h1 = [0] * n
+        h2 = [0] * n
+    diam = 0
+    for v in order:
+        a = g1[v]
+        if a < 0:
+            fv = fcv = 0
         else:
-            f[v] = fc[v]
-    return f, fc, top, second
+            fcv = base[v] + a
+            b = g2[v]
+            fv = fcv + b if b >= 0 else fcv
+        if diameter:
+            hv = h1[v]
+            through = hv + h2[v]
+            if through > diam:
+                diam = through
+        p = parent[v]
+        if p is None:
+            break
+        base[p] += fv
+        gain = fcv + 1 - fv
+        a = g1[p]
+        if gain > a or (gain == a and v < top[p]):
+            second[p], g2[p] = top[p], a
+            top[p], g1[p] = v, gain
+        else:
+            b = g2[p]
+            if gain > b or (gain == b and v < second[p]):
+                second[p], g2[p] = v, gain
+        if diameter:
+            hv += 1
+            if hv > h1[p]:
+                h2[p], h1[p] = h1[p], hv
+            elif hv > h2[p]:
+                h2[p] = hv
+    return fv, top, second, diam if diameter else None
 
 
 def _reconstruct(
@@ -161,7 +187,7 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
     number of incident edges the optimum allows, preferring children with
     smaller ids.
     """
-    _, _, top, second = _forest_values(t)
+    _, top, second, _ = _forest_values(t.parent, reversed(t.order))
     best = _reconstruct(t, top, top, second, constrained=False)
     best_constrained = _reconstruct(t, top, top, second, constrained=True)
     return DpRecord(best=best, best_constrained=best_constrained)
@@ -169,8 +195,7 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
 
 def max_linear_forest_value(t: RootedTree) -> int:
     """Size-only variant of max_linear_forest, skipping reconstruction."""
-    f, _, _, _ = _forest_values(t)
-    return f[t.root]
+    return _forest_values(t.parent, reversed(t.order))[0]
 
 
 def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
@@ -258,6 +283,24 @@ def leaf_exchange(g: Graph, u_i: int, u_j: int) -> Graph:
     edges = [e for e in g.edges if e != old]
     edges.append(new)
     return Graph(g.n, edges, validate=False)
+
+
+def _leaf_exchange_arrays(
+    parent: list[Optional[int]], order: list[int], u_i: int, u_j: int
+) -> tuple[list[Optional[int]], list[int]]:
+    """leaf_exchange on the (parent, children-first order) arrays that
+    _forest_values reads: u_i moves under u_j and to the front of the
+    order. When u_i is the root, its only child becomes the root."""
+    moved = parent.copy()
+    moved[u_i] = u_j
+    if u_i == order[-1]:
+        moved_order = order[:-1]  # ends with the root's only child
+        moved[moved_order[-1]] = None
+    else:
+        moved_order = order.copy()
+        moved_order.remove(u_i)
+    moved_order.insert(0, u_i)
+    return moved, moved_order
 
 
 def hc_construct(g: Graph) -> Completion:

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import islice
 from typing import Iterator, Optional, Sequence
 
 from .graph import Graph
 
 #: Largest n accepted by enumerate_trees; n^(n-2) grows too fast beyond this.
 ENUMERATION_CAP = 10
+
+#: (parent, order, degree) of a rooted tree; see prufer_arrays.
+TreeArrays = tuple[list[Optional[int]], list[int], list[int]]
 
 
 def path_graph(n: int) -> Graph:
@@ -123,27 +127,57 @@ def prufer_decode(seq: Sequence[int], n: Optional[int] = None) -> Graph:
     if n <= 2:
         if seq:
             raise ValueError(f"sequence must be empty for n={n}")
-        return Graph(n, [(0, 1)] if n == 2 else [], validate=False)
-    if len(seq) != n - 2:
+    elif len(seq) != n - 2:
         raise ValueError(f"sequence length must be n-2={n - 2}, got {len(seq)}")
-    degree = [1] * n
     for x in seq:
         if not (0 <= x < n):
             raise ValueError(f"sequence entry {x} out of range 0..{n - 1}")
-        degree[x] += 1
-    heap = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(heap)
-    edges = []
+    parent, order, _ = prufer_arrays(seq, n)
+    return _tree_graph(parent, order)
+
+
+def prufer_arrays(seq: Sequence[int], n: int) -> TreeArrays:
+    """Smallest-leaf decoding of a valid Prüfer sequence straight into arrays.
+
+    Returns (parent, order, degree): parent pointers of the tree rooted at
+    n-1 (None at the root, as in RootedTree), every vertex listed children
+    first with the root last, and the vertex degrees. A vertex is removed
+    only once it is a leaf, so the removal order is already children first;
+    a smallest-leaf pointer that only moves up keeps the decode linear.
+    """
+    parent: list[Optional[int]] = [None] * n
+    degree = [1] * n
+    if n == 1:
+        degree[0] = 0
+        return parent, [0], degree
     for x in seq:
-        leaf = heapq.heappop(heap)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(heap, x)
-    u = heapq.heappop(heap)
-    v = heapq.heappop(heap)
-    edges.append((u, v))
-    return Graph(n, edges, validate=False)
+        degree[x] += 1
+    left = degree.copy()
+    order = []
+    ptr = leaf = left.index(1)
+    for x in seq:
+        parent[leaf] = x
+        order.append(leaf)
+        left[x] -= 1
+        if left[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while left[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    parent[leaf] = n - 1
+    order.append(leaf)
+    order.append(n - 1)
+    return parent, order, degree
+
+
+def _tree_graph(parent: Sequence[Optional[int]], order: Sequence[int]) -> Graph:
+    """The tree joining every vertex but the root (last in order) to its
+    parent. Ids taken from order, not counted afresh, share their int
+    objects with the decoding, which keeps a 10^6-vertex Graph smaller."""
+    edges = [(v, parent[v]) for v in islice(order, len(order) - 1)]
+    return Graph(len(parent), edges, validate=False)
 
 
 def prufer_encode(g: Graph) -> tuple[int, ...]:
@@ -199,13 +233,14 @@ def prufer_from_rank(n: int, rank: int) -> tuple[int, ...]:
     return tuple(seq)
 
 
-def enumerate_trees(
+def enumerate_tree_arrays(
     n: int,
     start: int = 0,
     stop: Optional[int] = None,
     cap: int = ENUMERATION_CAP,
-) -> Iterator[Graph]:
-    """Yield all labeled trees on n vertices in lexicographic Prüfer order.
+) -> Iterator[TreeArrays]:
+    """Yield ``prufer_arrays`` of all labeled trees on n vertices in
+    lexicographic Prüfer order.
 
     ``start``/``stop`` select a rank range, which lets callers partition
     the n^(n-2) sequence space across workers.
@@ -219,18 +254,26 @@ def enumerate_trees(
         stop = total
     if not (0 <= start <= stop <= total):
         raise ValueError(f"invalid rank range [{start}, {stop}) for n={n}")
-    if n <= 2:
-        if start == 0 and stop > 0:
-            yield prufer_decode((), n)
-        return
-    seq = list(prufer_from_rank(n, start))
-    length = n - 2
+    seq = list(prufer_from_rank(n, start)) if start < stop else []
+    last = len(seq) - 1
     for _ in range(start, stop):
-        yield prufer_decode(seq, n)
+        yield prufer_arrays(seq, n)
         # increment the sequence like a base-n counter
-        i = length - 1
+        i = last
         while i >= 0 and seq[i] == n - 1:
             seq[i] = 0
             i -= 1
         if i >= 0:
             seq[i] += 1
+
+
+def enumerate_trees(
+    n: int,
+    start: int = 0,
+    stop: Optional[int] = None,
+    cap: int = ENUMERATION_CAP,
+) -> Iterator[Graph]:
+    """Yield all labeled trees on n vertices in lexicographic Prüfer order,
+    over the same rank range as ``enumerate_tree_arrays``."""
+    for parent, order, _ in enumerate_tree_arrays(n, start, stop, cap):
+        yield _tree_graph(parent, order)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -325,6 +325,19 @@ class TreeStats:
         return sum(self.ex.values())
 
 
+def hc_bound_counts(degree: Sequence[int], edges: Iterable[Edge]) -> tuple[int, list[int]]:
+    """The counts behind the completion bounds, from degrees and edges: the
+    leaf count, and per vertex how many of its low-degree neighbors
+    (degree < 3) exceed two."""
+    low = [0] * len(degree)
+    for u, v in edges:
+        if degree[v] < 3:
+            low[u] += 1
+        if degree[u] < 3:
+            low[v] += 1
+    return degree.count(1), [c - 2 if c > 2 else 0 for c in low]
+
+
 def tree_stats(t: RootedTree) -> TreeStats:
     """Compute leaf count, excess map, diameter/radius/center, and s."""
     g = t.graph
@@ -332,13 +345,9 @@ def tree_stats(t: RootedTree) -> TreeStats:
     d = tree_diameter(g)
     center = tree_center(g)
     r = (d + 1) // 2
-    out = sum(1 for v in range(n) if g.degree(v) == 1)
-    ex: dict[int, int] = {}
-    for v in range(n):
-        if g.degree(v) < 2:
-            continue
-        low = sum(1 for w in g.adjacency[v] if g.degree(w) < 3)
-        ex[v] = max(0, low - 2)
+    degree = [g.degree(v) for v in range(n)]
+    out, excess = hc_bound_counts(degree, g.edges)
+    ex = {v: excess[v] for v in range(n) if degree[v] >= 2}
     s = sum(1 for v in range(n) if t.depth[v] == 1 and g.degree(v) == 2)
     return TreeStats(diameter=d, radius=r, center=center, out=out, ex=ex, s=s)
 

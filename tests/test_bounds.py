@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from linforest import (
     tree_diameter,
     verify_theorems,
 )
-from linforest.bounds import BoundReport
+from linforest.bounds import BoundReport, _leaf_pairs, _sweep_range
 from linforest.graph import Graph
 
 
@@ -257,6 +258,42 @@ class TestHarness:
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError, match="cap"):
             verify_theorems(12)
+
+    def test_split_ranges_match_one_range(self):
+        # 6^3 = 216: rank 215 is prufer[0,5,5,5] and rank 216 carries
+        # through every digit to prufer[1,0,0,0]
+        n, total = 6, 6**4
+        cuts = [0, 1, 215, 216, 217, 700, total]
+        for cfg in (
+            SweepConfig(leaf_exchange_all_pairs=True, upper_slack=1),
+            SweepConfig(upper_slack=1),
+        ):
+            whole_counts, whole_violations = _sweep_range((n, 0, total, cfg))
+            counts = {check: (0, 0, 0, 0) for check in whole_counts}
+            violations = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                part_counts, part_violations = _sweep_range((n, lo, hi, cfg))
+                for check, c in part_counts.items():
+                    counts[check] = tuple(a + b for a, b in zip(counts[check], c))
+                violations += part_violations
+            assert whole_violations
+            assert counts == whole_counts
+            assert violations == whole_violations
+
+    def test_mutated_reports_pinned(self):
+        run = verify_theorems(7, SweepConfig(leaf_exchange_all_pairs=True, upper_slack=1))
+        text = "\n".join(r.to_text() for r in run.violations)
+        assert len(run.violations) == 43748
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d943e41d908df590ad0c5e5a664d1f43b94f66e09892ddf8e0bc10c80b8b283c"
+        )
+
+    def test_leaf_pair_sample_pinned(self):
+        # star on 7 vertices: 30 ordered leaf pairs, 4 drawn per tree
+        degree = [1] * 6 + [6]
+        cfg = SweepConfig(seed=3)
+        assert _leaf_pairs(degree, cfg, 11) == [(3, 2), (2, 3), (2, 0), (1, 3)]
+        assert _leaf_pairs(degree, cfg, 12) == [(0, 3), (0, 1), (4, 3), (2, 3)]
 
 
 class TestReports:

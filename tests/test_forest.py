@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from linforest import (
@@ -59,6 +61,17 @@ class TestDp:
             g = random_tree(9, seed)
             values = {max_linear_forest_value(RootedTree(g, r)) for r in range(g.n)}
             assert len(values) == 1
+
+    def test_edges_pinned(self):
+        # tie-break smallest child id first; digest of every forest n <= 7
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                rec = max_linear_forest(root_at_center(g))
+                digest.update(repr((rec.best.edges, rec.best_constrained.edges)).encode())
+        assert digest.hexdigest() == (
+            "b3f1ba7494d4fbf57ec03ff09840ac01d70c110eb1db6ac8385c6524d42d1289"
+        )
 
     def test_allpairs_variant_identical(self):
         for seed in range(40):

@@ -1,0 +1,81 @@
+"""The sweep's array kernel against the Graph-based functions it replaces,
+on every labeled tree with n <= 7."""
+
+from linforest import (
+    Graph,
+    enumerate_tree_arrays,
+    hc_bound_counts,
+    leaf_exchange,
+    max_linear_forest_value,
+    prufer_decode,
+    prufer_encode,
+    prufer_from_rank,
+    tree_diameter,
+    tree_stats,
+)
+from linforest.forest import _forest_values, _leaf_exchange_arrays
+from linforest.graph import RootedTree
+
+N_MAX = 7
+
+
+def _all_arrays():
+    for n in range(1, N_MAX + 1):
+        for rank, arrays in enumerate(enumerate_tree_arrays(n)):
+            yield n, rank, arrays
+
+
+def _edges(parent):
+    return [(v, p) for v, p in enumerate(parent) if p is not None]
+
+
+def _assert_rooted_arrays(parent, order):
+    """order is a permutation listing children before parents, root last."""
+    n = len(parent)
+    root = order[-1]
+    assert sorted(order) == list(range(n))
+    assert parent[root] is None
+    position = {v: i for i, v in enumerate(order)}
+    assert all(position[v] < position[parent[v]] for v in range(n) if v != root)
+
+
+def test_arrays_rebuild_the_decoded_graph():
+    for n, rank, (parent, order, degree) in _all_arrays():
+        seq = prufer_from_rank(n, rank)
+        g = prufer_decode(seq, n)
+        assert Graph(n, _edges(parent)) == g
+        _assert_rooted_arrays(parent, order)
+        assert order[-1] == n - 1
+        assert degree == [g.degree(v) for v in range(n)]
+        assert prufer_encode(g) == seq
+
+
+def test_value_diameter_and_hc_counts():
+    for n, _, (parent, order, degree) in _all_arrays():
+        g = Graph(n, _edges(parent))
+        t = RootedTree(g, 0)
+        value, _, _, diameter = _forest_values(parent, order, diameter=True)
+        assert value == max_linear_forest_value(t)
+        assert diameter == tree_diameter(g)
+        stats = tree_stats(t)
+        out, excess = hc_bound_counts(degree, _edges(parent))
+        assert (out, sum(excess)) == (stats.out, stats.ex_sum)
+
+
+def test_leaf_exchange_on_every_ordered_leaf_pair():
+    root_moves = 0
+    for n, _, (parent, order, degree) in _all_arrays():
+        g = Graph(n, _edges(parent))
+        leaves = [v for v in range(n) if degree[v] == 1]
+        for a in leaves:
+            for b in leaves:
+                if a == b:
+                    continue
+                moved_parent, moved_order = _leaf_exchange_arrays(parent, order, a, b)
+                _assert_rooted_arrays(moved_parent, moved_order)
+                h = leaf_exchange(g, a, b)
+                assert Graph(n, _edges(moved_parent)) == h
+                value = _forest_values(moved_parent, moved_order)[0]
+                assert value == max_linear_forest_value(RootedTree(h, 0))
+                root_moves += a == n - 1
+    assert root_moves > 0
