@@ -28,6 +28,10 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# largest vertex count a graph file may declare: a header is read before
+# any edge, and the graph allocates one adjacency list per vertex
+MAX_CLI_VERTICES = 10**7
+
 
 class CliError(Exception):
     """Fatal usage-level problem; maps to exit code 2."""
@@ -104,7 +108,7 @@ def _read_graph(path: str) -> Graph:
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
     try:
-        return parse_graph(text)
+        return parse_graph(text, max_n=MAX_CLI_VERTICES)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
 

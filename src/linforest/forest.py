@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, RootedTree, TreeStats, root_at_center
+from .graph import Graph, RootedTree, TreeStats, leaf_peel
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,12 @@ class DpRecord:
 
 @dataclass(frozen=True)
 class Completion:
-    """Edges whose addition closes a tree into a Hamiltonian graph."""
+    """Edges whose addition closes a tree into a Hamiltonian graph, with
+    a Hamiltonian cycle of the result as a certificate. The cycle need not
+    use every added edge: a later splice can trade an earlier one away."""
 
     added_edges: tuple[tuple[int, int], ...]
+    cycle: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.added_edges)
@@ -157,26 +160,26 @@ def _reconstruct(
     pair_b: list[int],
     constrained: bool,
 ) -> LinearForest:
-    """Walk down the choice arrays collecting edges. ``single`` is the child
-    joined when the vertex may take one edge; (pair_a, pair_b) when two."""
-    edges: list[tuple[int, int]] = []
-    stack = [(t.root, constrained)]
-    while stack:
-        v, limited = stack.pop()
-        kids = t.children[v]
+    """Walk down the choice arrays marking the children joined to their
+    parents. ``single`` is the child joined when the vertex may take one
+    edge; (pair_a, pair_b) when two. A joined vertex may take only one
+    more edge, so the mark also limits it."""
+    joined = bytearray(t.n)
+    joined[t.root] = constrained  # the root has no parent edge to emit
+    children = t.children
+    for v in t.order:
+        kids = children[v]
         if not kids:
             continue
-        if limited or len(kids) == 1:
-            chosen = (single[v],)
+        if joined[v] or len(kids) == 1:
+            joined[single[v]] = 1
         else:
-            chosen = (pair_a[v], pair_b[v])
-        for c in chosen:
-            edges.append((v, c) if v < c else (c, v))
-            stack.append((c, True))
-        for c in kids:
-            if c not in chosen:
-                stack.append((c, False))
-    return LinearForest(tuple(sorted(edges)))
+            joined[pair_a[v]] = joined[pair_b[v]] = 1
+    parent = t.parent
+    # an edge is in the forest iff its child end was joined
+    return LinearForest(tuple(
+        e for e in t.graph.edges if joined[e[1] if parent[e[1]] == e[0] else e[0]]
+    ))
 
 
 def max_linear_forest(t: RootedTree) -> DpRecord:
@@ -243,9 +246,10 @@ def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
 
 
 def l_of_tree(g: Graph) -> int:
-    """Number of edges in a maximum linear forest of a tree; independent of
-    the root used internally."""
-    return max_linear_forest_value(root_at_center(g))
+    """Number of edges in a maximum linear forest of a tree. The value does
+    not depend on the root, so the DP runs on the leaf-peel rooting."""
+    parent, order, _ = leaf_peel(g)
+    return _forest_values(parent, order)[0]
 
 
 def hc_of_tree(g: Graph) -> int:
@@ -306,82 +310,76 @@ def _leaf_exchange_arrays(
 def hc_construct(g: Graph) -> Completion:
     """Build a Hamiltonian completion of a tree with exactly out(T)-1 edges.
 
-    Close a cycle through two leaves first, then repeatedly splice in the
-    lowest-id leaf still outside: walk from it to the nearest cycle vertex
-    u, detach u from its smaller-id cycle neighbor w conceptually, and add
+    Close a cycle through the two lowest-id leaves first, then splice in
+    each leaf still outside, in id order: walk from it to the nearest
+    cycle vertex u, detach u from its smaller-id cycle neighbor w, and add
     the leaf-w edge so the cycle absorbs the whole connecting path.
+    Linear time: the cycle's vertices always form a subtree containing
+    the root u0, so the nearest cycle vertex is the first one on the walk
+    up the parent pointers, and each vertex is walked once.
     """
     n = g.n
     if n < 3:
         raise ValueError("hamiltonian completion construction needs n >= 3")
     if not g.is_tree():
         raise ValueError("input is not a tree")
-    leaves = sorted(v for v in range(n) if g.degree(v) == 1)
-    u0, v0 = leaves[0], leaves[1]
-    cycle = _tree_path(g, u0, v0)
-    on_cycle = bytearray(n)
-    for v in cycle:
-        on_cycle[v] = 1
-    added = [(u0, v0) if u0 < v0 else (v0, u0)]
-    pos = {v: i for i, v in enumerate(cycle)}
-    for leaf in leaves[2:]:
-        if on_cycle[leaf]:
-            continue
-        # walk from the leaf toward the cycle; the path is unique in a tree
-        path = _path_to_cycle(g, leaf, on_cycle)
-        u = path[-1]
-        i = pos[u]
-        w = min(cycle[i - 1], cycle[(i + 1) % len(cycle)])
+    leaves = [v for v in range(n) if g.degree(v) == 1]
+    u0 = leaves[0]
+    parent = RootedTree(g, u0).parent
+    # the cycle as successor/predecessor arrays, -1 off the cycle. It starts
+    # as u0 alone, so splicing in the next leaf v0 closes the tree path
+    # u0 ... v0 with the edge u0-v0.
+    nxt = [-1] * n
+    prv = [-1] * n
+    nxt[u0] = prv[u0] = u0
+    added: list[tuple[int, int]] = []
+    for leaf in leaves[1:]:
+        segment = []  # leaf first, ends just before u
+        v = leaf
+        while nxt[v] < 0:
+            segment.append(v)
+            v = parent[v]
+        u = v
         # splice: the cycle edge u-w is traded for leaf-w, absorbing the path
-        segment = path[:-1]  # leaf first, ends just before u
-        if cycle[(i + 1) % len(cycle)] == w:
-            cycle[i + 1 : i + 1] = list(reversed(segment))
+        if nxt[u] <= prv[u]:
+            w = nxt[u]
+            chain = [u, *reversed(segment), w]
         else:
-            cycle[i:i] = segment
-        pos = {v: k for k, v in enumerate(cycle)}
-        for v in segment:
-            on_cycle[v] = 1
+            w = prv[u]
+            chain = [w, *segment, u]
+        for a, b in zip(chain, chain[1:]):
+            nxt[a], prv[b] = b, a
         added.append((leaf, w) if leaf < w else (w, leaf))
-    return Completion(added_edges=tuple(added))
+    cycle = [u0]
+    v = nxt[u0]
+    while v != u0:
+        cycle.append(v)
+        v = nxt[v]
+    return Completion(added_edges=tuple(added), cycle=tuple(cycle))
 
 
-def _tree_path(g: Graph, a: int, b: int) -> list[int]:
-    """Vertex sequence of the unique a-b path in a tree."""
-    prev = [-1] * g.n
-    prev[a] = a
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        if u == b:
-            break
-        for w in g.adjacency[u]:
-            if prev[w] < 0:
-                prev[w] = u
-                stack.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
-
-
-def _path_to_cycle(g: Graph, start: int, on_cycle: bytearray) -> list[int]:
-    """Vertex sequence from start to the first cycle vertex reached."""
-    prev = [-1] * g.n
-    prev[start] = start
-    stack = [start]
-    hit = -1
-    while stack:
-        u = stack.pop()
-        if on_cycle[u]:
-            hit = u
-            break
-        for w in g.adjacency[u]:
-            if prev[w] < 0:
-                prev[w] = u
-                stack.append(w)
-    path = [hit]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path
+def is_hamiltonian_cycle(g: Graph, added_edges: Iterable[tuple[int, int]],
+                         cycle: Sequence[int]) -> bool:
+    """Check a completion certificate in linear time: the added edges are
+    distinct non-edges of g, and ``cycle`` visits every vertex once with
+    each step, the closing one too, on an edge of g or an added edge."""
+    n = g.n
+    if n < 3 or len(cycle) != n:
+        return False
+    seen = bytearray(n)
+    for v in cycle:
+        if not 0 <= v < n or seen[v]:
+            return False
+        seen[v] = 1
+    added_list = [(u, v) if u < v else (v, u) for u, v in added_edges]
+    added = set(added_list)
+    host = g.edge_set()
+    if len(added) != len(added_list) or not added.isdisjoint(host):
+        return False
+    prev = cycle[-1]
+    for v in cycle:
+        e = (prev, v) if prev < v else (v, prev)
+        if e not in host and e not in added:
+            return False
+        prev = v
+    return True

@@ -7,6 +7,7 @@ deterministic and bit-reproducible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -109,11 +110,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, *, max_n: Optional[int] = None) -> Graph:
     """Parse an edge-list document: a header line "n m", then m lines "u v".
 
     Rejects self-loops, duplicate edges, out-of-range ids, and any mismatch
     between the header and the body; errors name the offending 1-based line.
+    With ``max_n``, a header declaring more vertices is rejected before any
+    per-vertex storage is allocated.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -127,6 +130,8 @@ def parse_graph(text: str) -> Graph:
         raise ParseError(f"line 1: expected two integers, got {lines[0].strip()!r}") from None
     if n < 0 or m < 0:
         raise ParseError("line 1: n and m must be non-negative")
+    if max_n is not None and n > max_n:
+        raise ParseError(f"line 1: n={n} exceeds the limit of {max_n} vertices")
 
     edges: list[Edge] = []
     seen: set[Edge] = set()
@@ -178,7 +183,11 @@ class LineGraph:
     source_edges: tuple[Edge, ...]
 
     def vertex_of(self, u: int, v: int) -> int:
-        return self.source_edges.index(_normalize_edge(u, v))
+        e = _normalize_edge(u, v)
+        i = bisect_left(self.source_edges, e)
+        if i == len(self.source_edges) or self.source_edges[i] != e:
+            raise ValueError(f"({u}, {v}) is not an edge of the source graph")
+        return i
 
 
 def line_graph(g: Graph) -> LineGraph:
@@ -210,28 +219,31 @@ class RootedTree:
             raise ValueError(f"root {root} out of range")
         if graph.m != n - 1:
             raise ValueError("not a tree: edge count differs from n-1")
+        adjacency = graph.adjacency
         parent: list[Optional[int]] = [None] * n
         depth = [-1] * n
-        children: list[list[int]] = [[] for _ in range(n)]
-        order = [root]
+        children: list[tuple[int, ...]] = [()] * n
         depth[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w in graph.adjacency[u]:
-                if depth[w] < 0:
-                    depth[w] = depth[u] + 1
-                    parent[w] = u
-                    children[u].append(w)
-                    order.append(w)
-                    queue.append(w)
+        order = [root]
+        # the order list is the BFS queue: it grows while it is walked
+        for u in order:
+            nbrs = adjacency[u]
+            if len(nbrs) == 1 and u != root:
+                continue  # a leaf's one neighbor is its parent
+            d = depth[u] + 1
+            kids = tuple([w for w in nbrs if depth[w] < 0])
+            for w in kids:
+                depth[w] = d
+                parent[w] = u
+            children[u] = kids
+            order += kids
         if len(order) != n:
             raise ValueError("not a tree: graph is disconnected")
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
         self.depth = tuple(depth)
-        self.children = tuple(tuple(c) for c in children)
+        self.children = tuple(children)
         self.order = tuple(order)
 
     @property
@@ -242,32 +254,46 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
-def tree_center(g: Graph) -> tuple[int, ...]:
-    """Center of a tree by iterative leaf stripping (1 or 2 vertices)."""
+def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int]:
+    """Strip leaves of a tree in FIFO order until no vertex is left.
+
+    Returns (parent, order, last): each vertex's parent is its one neighbor
+    still present when it is stripped (None for the last one, the root),
+    ``order`` lists children before parents with the root last, and
+    ``order[last:]`` is the last layer stripped, which is the center.
+    Linear time.
+    """
     n = g.n
     if g.m != n - 1:
         raise ValueError("not a tree: edge count differs from n-1")
-    if n == 0:
-        raise ValueError("empty graph has no center")
-    deg = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] <= 1]
-    remaining = n
-    removed = bytearray(n)
-    while remaining > 2:
-        nxt: list[int] = []
-        for v in layer:
-            removed[v] = 1
-            remaining -= 1
-            for w in g.adjacency[v]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        if not nxt and remaining > 2:
-            raise ValueError("not a tree: graph contains a cycle")
-        layer = nxt
-    center = tuple(sorted(v for v in range(n) if not removed[v]))
-    return center
+    adjacency = g.adjacency
+    deg = [len(nbrs) for nbrs in adjacency]  # zeroed once stripped
+    parent: list[Optional[int]] = [None] * n
+    order = [v for v in range(n) if deg[v] <= 1]
+    i = last = 0
+    end = len(order)  # the current layer is order[last:end]
+    for v in order:
+        if i == end:
+            last, end = i, len(order)
+        i += 1
+        deg[v] = 0
+        for w in adjacency[v]:
+            if deg[w]:
+                parent[v] = w
+                d = deg[w] - 1
+                deg[w] = d
+                if d == 1:
+                    order.append(w)
+                break
+    if len(order) != n:
+        raise ValueError("not a tree: graph contains a cycle")
+    return parent, order, last
+
+
+def tree_center(g: Graph) -> tuple[int, ...]:
+    """Center of a tree by iterative leaf stripping (1 or 2 vertices)."""
+    _, order, last = leaf_peel(g)
+    return tuple(sorted(order[last:]))
 
 
 def root_at_center(g: Graph) -> RootedTree:

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from linforest import format_graph, path_graph, star_graph
+from linforest import cli
 from linforest.cli import main
 
 
@@ -76,6 +77,13 @@ class TestCompute:
         bad.write_text("3 2\n0 1\n0 1\n")
         assert main(["compute", "l", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    def test_vertex_limit(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 4)
+        assert main(["compute", "l", write_graph(tmp_path, star_graph(4))]) == 0
+        capsys.readouterr()
+        assert main(["compute", "l", write_graph(tmp_path, star_graph(5))]) == 2
+        assert "line 1: n=5 exceeds the limit of 4 vertices" in capsys.readouterr().err
 
     def test_longest_path(self, tmp_path, capsys):
         path = write_graph(tmp_path, star_graph(4))

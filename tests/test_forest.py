@@ -9,6 +9,7 @@ from linforest import (
     hc_lower_bound,
     hc_of_tree,
     is_hamiltonian,
+    is_hamiltonian_cycle,
     is_linear_forest,
     l_of_tree,
     leaf_exchange,
@@ -102,6 +103,11 @@ class TestLOfTree:
     def test_p1(self):
         assert l_of_tree(path_graph(1)) == 0
 
+    def test_matches_rooted_dp_exhaustively(self):
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                assert l_of_tree(g) == max_linear_forest_value(RootedTree(g, 0))
+
 
 class TestHc:
     def test_values(self):
@@ -134,6 +140,7 @@ class TestHcConstruct:
             assert len(comp) == out - 1
             assert set(comp.added_edges).isdisjoint(g.edge_set())
             assert is_hamiltonian(Graph(g.n, g.edges + comp.added_edges))
+            assert is_hamiltonian_cycle(g, comp.added_edges, comp.cycle)
 
     def test_random_trees(self):
         for seed in range(30):
@@ -142,6 +149,51 @@ class TestHcConstruct:
             out = sum(1 for v in range(g.n) if g.degree(v) == 1)
             assert len(comp) == out - 1
             assert is_hamiltonian(Graph(g.n, g.edges + comp.added_edges))
+            assert is_hamiltonian_cycle(g, comp.added_edges, comp.cycle)
+
+    def test_added_edges_pinned(self):
+        # digest of the completions of every labeled tree n = 3..8
+        digest = hashlib.sha256()
+        for n in range(3, 9):
+            for g in enumerate_trees(n):
+                digest.update(repr(hc_construct(g).added_edges).encode())
+        assert digest.hexdigest() == (
+            "7eac4febabca49bb6eea39494e206b6a8add861dcd453766bda4703aa8ca217a"
+        )
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_tree(10**5, 3),
+        lambda: star_graph(10**5),
+        lambda: spider([1000] * 100),
+    ], ids=["random", "star", "spider"])
+    def test_certificate_at_scale(self, make):
+        g = make()
+        comp = hc_construct(g)
+        out = sum(1 for v in range(g.n) if g.degree(v) == 1)
+        assert len(comp) == out - 1
+        assert is_hamiltonian_cycle(g, comp.added_edges, comp.cycle)
+
+    def test_certificate_rejects_mutations(self):
+        g = spider([2, 2, 2])
+        comp = hc_construct(g)
+        added, cycle = comp.added_edges, comp.cycle
+        assert is_hamiltonian_cycle(g, added, cycle)
+        assert not is_hamiltonian_cycle(g, added, cycle[:-1])  # a vertex missed
+        assert not is_hamiltonian_cycle(g, added, cycle[:-1] + cycle[:1])  # one repeated
+        assert not is_hamiltonian_cycle(g, added, cycle[:-1] + (g.n,))  # out of range
+        for i in range(g.n):  # two neighbors swapped
+            j = (i + 1) % g.n
+            swapped = list(cycle)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            assert not is_hamiltonian_cycle(g, added, swapped)
+        assert not is_hamiltonian_cycle(g, added[1:], cycle)  # a step on no edge
+        assert not is_hamiltonian_cycle(g, added + added[:1], cycle)  # duplicated
+        assert not is_hamiltonian_cycle(g, added + (g.edges[0],), cycle)  # a tree edge
+        assert is_hamiltonian_cycle(g, added + ((1, 3),), cycle)  # unused, still a completion
+        # a closed walk on edges that revisits 1 and misses 3
+        assert is_hamiltonian_cycle(path_graph(4), ((0, 3),), (0, 1, 2, 3))
+        assert not is_hamiltonian_cycle(path_graph(4), ((0, 3),), (1, 0, 1, 2))
+        assert not is_hamiltonian_cycle(path_graph(2), (), (0, 1))
 
     def test_rejects_small(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -5,7 +6,9 @@ import pytest
 from linforest import (
     Graph,
     ParseError,
+    enumerate_trees,
     format_graph,
+    leaf_peel,
     line_graph,
     parse_graph,
     root_at_center,
@@ -18,6 +21,26 @@ from linforest import (
     tree_stats,
 )
 from linforest.graph import RootedTree
+
+
+def min_eccentricity_vertices(g: Graph) -> tuple[int, ...]:
+    """Center by definition: grow the radius-r ball around every vertex in
+    lockstep; the vertices whose ball covers the graph first are those of
+    minimum eccentricity."""
+    n = g.n
+    full = (1 << n) - 1
+    balls = [1 << v for v in range(n)]
+    while True:
+        done = tuple(v for v in range(n) if balls[v] == full)
+        if done:
+            return done
+        grown = []
+        for v in range(n):
+            b = balls[v]
+            for w in g.adjacency[v]:
+                b |= balls[w]
+            grown.append(b)
+        balls = grown
 
 
 def has_induced_claw(g: Graph) -> bool:
@@ -135,6 +158,16 @@ class TestLineGraph:
         lg = line_graph(path_graph(3))
         assert lg.vertex_of(2, 1) == 1
 
+    def test_vertex_of_every_edge_and_missing_edges(self):
+        g = spider([3, 2, 1])
+        lg = line_graph(g)
+        for i, (u, v) in enumerate(g.edges):
+            assert lg.vertex_of(v, u) == i
+        for u, v in ((1, 3), (0, 5), (5, 6)):  # (5, 6) sorts after every edge
+            assert not g.has_edge(u, v)
+            with pytest.raises(ValueError, match="not an edge"):
+                lg.vertex_of(u, v)
+
 
 class TestRooting:
     def test_path5_center(self):
@@ -161,6 +194,50 @@ class TestRooting:
     def test_rejects_disconnected(self):
         with pytest.raises(ValueError):
             root_at_center(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_rooting_pinned(self):
+        # digest of root_at_center on every labeled tree n <= 7
+        digest = hashlib.sha256()
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                t = root_at_center(g)
+                digest.update(repr((t.root, t.parent, t.depth, t.children, t.order)).encode())
+        assert digest.hexdigest() == (
+            "5e977db7ee1b4cf25fd6df571f7e195378d87c2c1276d681dcad2806935d8ad4"
+        )
+
+    def test_center_is_min_eccentricity(self):
+        for n in range(1, 9):
+            for g in enumerate_trees(n):
+                assert tree_center(g) == min_eccentricity_vertices(g)
+
+    def test_peel_arrays(self):
+        for g in (path_graph(1), path_graph(2), path_graph(6), star_graph(5), spider([3, 2, 2])):
+            parent, order, last = leaf_peel(g)
+            assert sorted(order) == list(range(g.n))
+            assert parent[order[-1]] is None
+            position = {v: i for i, v in enumerate(order)}
+            for v in order[:-1]:
+                assert g.has_edge(v, parent[v]) and position[parent[v]] > position[v]
+            assert tuple(sorted(order[last:])) == tree_center(g)
+
+    @pytest.mark.parametrize("build", [tree_center, leaf_peel, root_at_center])
+    def test_not_a_tree_messages_of_the_peel(self, build):
+        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(0, [])):
+            with pytest.raises(ValueError, match="^not a tree: edge count differs from n-1$"):
+                build(g)
+        # n-1 edges but not a tree: a cycle, with an isolated vertex or a path
+        for g in (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])):
+            with pytest.raises(ValueError, match="^not a tree: graph contains a cycle$"):
+                build(g)
+
+    @pytest.mark.parametrize("root", [0, 4])
+    def test_not_a_tree_messages_of_rooted_tree(self, root):
+        with pytest.raises(ValueError, match="^not a tree: edge count differs from n-1$"):
+            RootedTree(Graph(5, [(0, 1), (2, 3)]), root)
+        for g in (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])):
+            with pytest.raises(ValueError, match="^not a tree: graph is disconnected$"):
+                RootedTree(g, root)
 
     def test_rooted_tree_structure(self):
         t = RootedTree(spider([2, 1]), 0)

@@ -129,10 +129,11 @@ class TestLinearForestBf:
         assert res.witness == ((0, 1), (1, 2), (2, 3))
 
     def test_cap(self):
-        big = star_graph(26)
         with pytest.raises(CapExceeded):
-            max_linear_forest_bf(big)
-        assert max_linear_forest_bf(big, cap=25).value == 2
+            max_linear_forest_bf(star_graph(26))
+        with pytest.raises(CapExceeded):
+            max_linear_forest_bf(star_graph(8), cap=6)
+        assert max_linear_forest_bf(star_graph(8), cap=7).value == 2
 
 
 class TestLongestPath:
