@@ -21,8 +21,8 @@ from .generate import (
     num_labeled_trees,
     prufer_from_rank,
 )
-from .graph import Graph, RootedTree, hc_bound_counts, line_graph, tree_stats
-from .oracle import decycling_number, max_linear_forest_bf
+from .graph import Graph, RootedTree, hc_bound_counts, line_graph_masks, tree_stats
+from .oracle import decycling_masks, linear_forest_edges
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -419,7 +419,8 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
 
     Each tree stays in its decoded arrays: one pass gives l and the
     diameter, the degrees give the hc-bound counts, and a leaf exchange is
-    one parent change plus a pass. A Graph is built only for the oracles.
+    one parent change plus a pass. The oracles take the edge list; no Graph
+    is built.
     """
     n, start, stop, cfg = args
     counts = {check: CheckCounts() for check in CHECKS}
@@ -436,13 +437,11 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
         lv, _, _, d = _forest_values(parent, order, diameter=True)
         edges = [(v, parent[v]) for v in order[:-1]]
-        if run_dp_oracle or run_decycling:
-            g = Graph(n, edges, validate=False)
 
         if run_dp_oracle:
             c = counts["dp-oracle"]
             c.checked += 1
-            bf = max_linear_forest_bf(g).value
+            bf = linear_forest_edges(n, edges)[0]
             if bf != lv:
                 c.violations += 1
                 violations.append(
@@ -508,7 +507,7 @@ def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[Bo
         if run_decycling:
             c = counts["decycling"]
             c.checked += 1
-            nabla = decycling_number(line_graph(g).graph).value
+            nabla = decycling_masks(line_graph_masks(n, edges))[0]
             ok = nabla == n - 1 - lv
             lo = hi = None
             if ok and d >= 4:

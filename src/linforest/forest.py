@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, RootedTree, TreeStats, leaf_peel
+from .graph import Graph, RootedTree, TreeStats, _edges_acyclic, leaf_peel
 
 
 @dataclass(frozen=True)
@@ -72,27 +72,13 @@ def is_linear_forest(g: Graph, edges) -> bool:
     host = g.edge_set()
     if not edge_set <= host:
         return False
-    deg: dict[int, int] = {}
-    parent = {}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    deg = bytearray(g.n)
     for u, v in edge_set:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
+        deg[u] += 1
+        deg[v] += 1
         if deg[u] > 2 or deg[v] > 2:
             return False
-        parent.setdefault(u, u)
-        parent.setdefault(v, v)
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    return _edges_acyclic(g.n, edge_set)
 
 
 def _forest_values(

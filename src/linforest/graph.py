@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 
@@ -193,15 +194,44 @@ class LineGraph:
 def line_graph(g: Graph) -> LineGraph:
     """Build the line graph: one vertex per edge of g, adjacent iff the
     source edges share an endpoint."""
-    index = {e: i for i, e in enumerate(g.edges)}
-    ledges: list[Edge] = []
-    for v in range(g.n):
-        incident = [index[_normalize_edge(v, w)] for w in g.adjacency[v]]
-        # two distinct edges share at most one endpoint, so no duplicates
-        for a in range(len(incident)):
-            for b in range(a + 1, len(incident)):
-                ledges.append(_normalize_edge(incident[a], incident[b]))
+    at: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        at[u].append(i)
+        at[v].append(i)
+    # two distinct edges share at most one endpoint, so no duplicates
+    ledges = [pair for ids in at for pair in combinations(ids, 2)]
     return LineGraph(Graph(g.m, ledges, validate=False), g.edges)
+
+
+def line_graph_masks(n: int, edges: Sequence[Edge]) -> list[int]:
+    """The line graph of the edges (over vertices range(n)) as adjacency
+    masks: bit j of entry i is set iff edges i and j share an endpoint.
+
+    Each mask is len(edges) bits wide, so this is for the small graphs the
+    brute-force oracles take; ``line_graph`` stays linear in its output.
+    """
+    inc = [0] * n  # inc[v]: the edges at v
+    bit = 1
+    for u, v in edges:
+        inc[u] |= bit
+        inc[v] |= bit
+        bit <<= 1
+    return [(inc[u] | inc[v]) ^ (1 << i) for i, (u, v) in enumerate(edges)]
+
+
+def _edges_acyclic(n: int, edges: Iterable[Edge]) -> bool:
+    """Whether edges over vertices range(n) contain no cycle (union-find
+    with path halving)."""
+    root = list(range(n))
+    for u, v in edges:
+        while root[u] != u:
+            root[u] = u = root[root[u]]
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        if u == v:
+            return False
+        root[u] = v
+    return True
 
 
 class RootedTree:

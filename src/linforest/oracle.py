@@ -1,19 +1,29 @@
 """Brute-force ground truth for every invariant, on small instances.
 
-These solvers enumerate candidate subsets directly from the definitions so
-they are obviously correct; the only concession to speed is that sizes are
-tried from the largest plausible bound downward, returning on the first
-hit, which is also what makes the reported witness the lexicographically
-smallest maximizer. Caps guard against accidental exponential blowups.
+These solvers are deliberately naive: they enumerate every candidate subset
+and test it against the definition, so they are obviously correct. A vertex
+subset is tested for being a forest by stripping, again and again, its
+vertices with at most one neighbor inside it; it is a forest iff nothing is
+left. Graphs and subsets are integer bitmasks, so a test is a few integer
+operations and builds no objects. The only concession to speed is that
+sizes are tried from the largest plausible bound downward, returning on the
+first hit, which is also what makes the reported witness the
+lexicographically smallest maximizer. Caps guard against accidental
+exponential blowups.
+
+The kernels (``induced_forest_masks``, ``decycling_masks``,
+``linear_forest_edges``) read only an adjacency or an edge list, so they
+stay independent of the solver they check; the public functions wrap them
+for a Graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Edge, Graph, _edges_acyclic
 
 DEFAULT_VERTEX_CAP = 20
 DEFAULT_EDGE_CAP = 24
@@ -38,95 +48,115 @@ def _check_vertex_cap(g: Graph, cap: Optional[int], default: int) -> None:
         raise CapExceeded(f"n={g.n} exceeds cap {limit}")
 
 
-def _induced_edges(g: Graph, members: bytearray) -> Iterator[tuple[int, int]]:
-    for u, v in g.edges:
-        if members[u] and members[v]:
-            yield u, v
+def adjacency_masks(g: Graph) -> list[int]:
+    """Bit w of entry v is set iff v and w are adjacent."""
+    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
 
 
-def _is_acyclic_subset(g: Graph, subset: tuple[int, ...]) -> bool:
-    members = bytearray(g.n)
-    for v in subset:
-        members[v] = 1
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in _induced_edges(g, members):
-        ru, rv = find(u), find(v)
-        if ru == rv:
+def _is_forest(adj: Sequence[int], members: Sequence[int], mask: int) -> bool:
+    """Whether the subgraph induced by ``mask`` (whose vertices are
+    ``members``) is a forest: strip vertices with at most one neighbor left
+    until nothing is left (a forest) or nothing strips (every vertex left
+    has two neighbors, so there is a cycle)."""
+    while members:
+        left = []
+        for v in members:
+            if (adj[v] & mask).bit_count() > 1:
+                left.append(v)
+            else:
+                mask ^= 1 << v
+        if len(left) == len(members):
             return False
-        parent[ru] = rv
+        members = left
     return True
+
+
+def induced_forest_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Kernel of max_induced_forest on adjacency masks: (size, subset)."""
+    k = len(adj)
+    for size in range(k, -1, -1):
+        for subset in combinations(range(k), size):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            if _is_forest(adj, subset, mask):
+                return size, subset
+    return 0, ()
+
+
+def decycling_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Kernel of decycling_number on adjacency masks: the complement of the
+    largest induced forest."""
+    size, keep = induced_forest_masks(adj)
+    kept = set(keep)
+    return len(adj) - size, tuple(v for v in range(len(adj)) if v not in kept)
 
 
 def max_induced_forest(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest vertex subset inducing an acyclic subgraph (the quantity
     whose complement is the decycling number)."""
     _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
-    for size in range(g.n, -1, -1):
-        for subset in combinations(range(g.n), size):
-            if _is_acyclic_subset(g, subset):
-                return OracleResult(value=size, witness=subset)
-    return OracleResult(value=0, witness=())
+    return OracleResult(*induced_forest_masks(adjacency_masks(g)))
 
 
 def decycling_number(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Minimum vertex set whose removal leaves a forest: n - forest size."""
-    forest = max_induced_forest(g, cap)
-    keep = set(forest.witness)
-    witness = tuple(v for v in range(g.n) if v not in keep)
-    return OracleResult(value=g.n - forest.value, witness=witness)
+    _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    return OracleResult(*decycling_masks(adjacency_masks(g)))
+
+
+def _induces_tree(adj: Sequence[int], subset: tuple[int, ...], mask: int) -> bool:
+    # exactly |S|-1 edges: connected iff acyclic, one search settles both
+    if sum((adj[v] & mask).bit_count() for v in subset) != 2 * (len(subset) - 1):
+        return False
+    seen = 1 << subset[0]
+    stack = [subset[0]]
+    while stack:
+        new = adj[stack.pop()] & mask & ~seen
+        seen |= new
+        while new:
+            low = new & -new
+            stack.append(low.bit_length() - 1)
+            new ^= low
+    return seen == mask
 
 
 def max_induced_tree(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest vertex subset inducing a connected acyclic subgraph."""
     _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    adj = adjacency_masks(g)
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
-            if _induces_tree(g, subset):
+            mask = 0
+            for v in subset:
+                mask |= 1 << v
+            if _induces_tree(adj, subset, mask):
                 return OracleResult(value=size, witness=subset)
     return OracleResult(value=0, witness=())
 
 
-def _induces_tree(g: Graph, subset: tuple[int, ...]) -> bool:
-    members = bytearray(g.n)
-    for v in subset:
-        members[v] = 1
-    count = sum(1 for _ in _induced_edges(g, members))
-    if count != len(subset) - 1:
-        return False
-    # exactly |S|-1 edges: connected iff acyclic, one BFS settles both
-    seen = {subset[0]}
-    stack = [subset[0]]
-    while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            if members[w] and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(subset)
-
-
-def _graph_is_acyclic(g: Graph) -> bool:
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+def linear_forest_edges(n: int, edges: Sequence[Edge]) -> tuple[int, tuple[int, ...]]:
+    """Kernel of max_linear_forest_bf on an edge list over range(n):
+    (size, indices of the chosen edges)."""
+    m = len(edges)
+    ends = [(1 << u) | (1 << v) for u, v in edges]
+    # a linear forest is a forest, so it has at most n-1 edges; and subsets
+    # of an acyclic host can never contain a cycle
+    host_acyclic = _edges_acyclic(n, edges)
+    for size in range(min(m, n - 1), 0, -1):
+        for idxs in combinations(range(m), size):
+            # ``one``/``two``: the vertices of degree >= 1 / >= 2 so far
+            one = two = 0
+            for i in idxs:
+                b = ends[i]
+                if b & two:
+                    break
+                two |= one & b
+                one |= b
+            else:
+                if host_acyclic or _edges_acyclic(n, [edges[i] for i in idxs]):
+                    return size, idxs
+    return 0, ()
 
 
 def max_linear_forest_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
@@ -135,45 +165,8 @@ def max_linear_forest_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
     limit = DEFAULT_EDGE_CAP if cap is None else cap
     if g.m > limit:
         raise CapExceeded(f"m={g.m} exceeds cap {limit}")
-    edges = g.edges
-    n = g.n
-    # a linear forest is a forest, so it has at most n-1 edges; and subsets
-    # of an acyclic host can never contain a cycle
-    host_acyclic = _graph_is_acyclic(g)
-    for size in range(min(g.m, n - 1), 0, -1):
-        for idxs in combinations(range(g.m), size):
-            deg = bytearray(n)
-            ok = True
-            for i in idxs:
-                u, v = edges[i]
-                du = deg[u] + 1
-                dv = deg[v] + 1
-                if du > 2 or dv > 2:
-                    ok = False
-                    break
-                deg[u] = du
-                deg[v] = dv
-            if ok and (host_acyclic or _edge_subset_acyclic(n, edges, idxs)):
-                return OracleResult(value=size, witness=tuple(edges[i] for i in idxs))
-    return OracleResult(value=0, witness=())
-
-
-def _edge_subset_acyclic(n: int, edges: tuple, idxs: tuple[int, ...]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in idxs:
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    size, idxs = linear_forest_edges(g.n, g.edges)
+    return OracleResult(value=size, witness=tuple(g.edges[i] for i in idxs))
 
 
 def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
@@ -263,6 +256,6 @@ def spanning_trees(g: Graph) -> Iterator[Graph]:
     n = g.n
     if n == 0:
         return
-    for idxs in combinations(range(g.m), n - 1):
-        if _edge_subset_acyclic(n, g.edges, idxs):
-            yield Graph(n, [g.edges[i] for i in idxs], validate=False)
+    for edges in combinations(g.edges, n - 1):
+        if _edges_acyclic(n, edges):
+            yield Graph(n, edges, validate=False)
