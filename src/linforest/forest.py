@@ -1,17 +1,24 @@
 """Exact maximum linear forests in trees.
 
 A linear forest is an edge set whose components are vertex-disjoint paths.
-The solver runs bottom-up over a rooted tree keeping, per subtree, the best
-forest size and the best size with the subtree root at forest-degree <= 1.
-At each internal vertex the root either stays isolated, joins one child
-(switching that child to its constrained optimum), or joins two children.
-Since constraining a child costs at most one edge, only the two children
-with the cheapest switching cost matter, which keeps the whole pass linear.
+For a rooted subtree let f be its best forest and fc the best one with the
+root at forest-degree <= 1. Dropping one root edge from an optimum gives a
+constrained forest, so fc <= f <= fc + 1 and the gain fc + 1 - f of joining
+the root to its parent is 0 or 1. With ones(v) the number of children of
+gain 1, f(v) = base(v) + min(ones(v), 2), fc(v) = base(v) + min(ones(v), 1)
+and v's own gain is 1 iff ones(v) < 2, base(v) being the sum of the
+children's f. One bottom-up pass over parent pointers counts ``ones``,
+which is all the value needs; the solver also records each vertex's two
+best children. One reconstruction turns those choices, or the quadratic
+reference solver's, into both forests: a walk down marks the joined
+children for the free root, and the constrained forest re-decides only
+below the marks that capping the root at one edge flips.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, RootedTree, TreeStats, _edges_acyclic, leaf_peel
@@ -82,36 +89,33 @@ def is_linear_forest(g: Graph, edges) -> bool:
 
 
 def _forest_values(
-    parent: Sequence[Optional[int]], order: Iterable[int], diameter: bool = False
-) -> tuple[int, list[int], list[int], Optional[int]]:
+    parent: Sequence[Optional[int]], order: Iterable[int], diameter: bool = False,
+    choices: bool = False,
+) -> tuple[int, Optional[list[int]], Optional[list[int]], Optional[int]]:
     """Bottom-up pass over a rooted tree given as parent pointers (None at
     the root) and an iterable listing children before parents, root last.
 
-    Each vertex, once final, pushes its free value f, its gain fc + 1 - f
-    from being constrained to degree <= 1, and (with ``diameter``) its
-    height into its parent's running sum and top-two slots. Among equal
-    gains the smaller child id wins, so the choice does not depend on the
-    order. Returns (f at the root, top child, second child, diameter or
-    None); child slots are -1 when unused.
+    A vertex's gain fc + 1 - f is 0 or 1, so the pass keeps only ``ones``,
+    the number of children with gain 1: f = base + min(ones, 2), and the
+    vertex's own gain is 1 iff ones < 2. Summed over the tree, f at the
+    root is the sum of min(ones, 2) over all vertices. With ``choices`` it
+    also keeps each vertex's top and second child, higher gain first and
+    the smaller id among equal gains, so the choice does not depend on the
+    order; with ``diameter``, the diameter from pushed heights. Returns
+    (f at the root, top child, second child, diameter), with None for what
+    was not asked and -1 for an unused child slot.
     """
     n = len(parent)
-    base = [0] * n
-    g1 = [-1] * n
-    g2 = [-1] * n
-    top = [-1] * n
-    second = [-1] * n
+    ones = [0] * n
+    top = second = None
+    if choices:
+        top = [-1] * n
+        second = [-1] * n
     if diameter:
         h1 = [0] * n
         h2 = [0] * n
     diam = 0
     for v in order:
-        a = g1[v]
-        if a < 0:
-            fv = fcv = 0
-        else:
-            fcv = base[v] + a
-            b = g2[v]
-            fv = fcv + b if b >= 0 else fcv
         if diameter:
             hv = h1[v]
             through = hv + h2[v]
@@ -120,52 +124,62 @@ def _forest_values(
         p = parent[v]
         if p is None:
             break
-        base[p] += fv
-        gain = fcv + 1 - fv
-        a = g1[p]
-        if gain > a or (gain == a and v < top[p]):
-            second[p], g2[p] = top[p], a
-            top[p], g1[p] = v, gain
-        else:
-            b = g2[p]
-            if gain > b or (gain == b and v < second[p]):
-                second[p], g2[p] = v, gain
+        gain = ones[v] < 2  # a final count: v's children pushed before v
+        if gain:
+            ones[p] += 1
+        if choices:
+            a = top[p]
+            if a < 0 or gain > (ga := ones[a] < 2) or (gain == ga and v < a):
+                second[p], top[p] = a, v
+            else:
+                b = second[p]
+                if b < 0 or gain > (gb := ones[b] < 2) or (gain == gb and v < b):
+                    second[p] = v
         if diameter:
             hv += 1
             if hv > h1[p]:
                 h2[p], h1[p] = h1[p], hv
             elif hv > h2[p]:
                 h2[p] = hv
-    return fv, top, second, diam if diameter else None
+    one = ones.count(1)
+    value = one + 2 * (n - one - ones.count(0))
+    return value, top, second, diam if diameter else None
 
 
 def _reconstruct(
-    t: RootedTree,
-    single: list[int],
-    pair_a: list[int],
-    pair_b: list[int],
-    constrained: bool,
-) -> LinearForest:
-    """Walk down the choice arrays marking the children joined to their
-    parents. ``single`` is the child joined when the vertex may take one
-    edge; (pair_a, pair_b) when two. A joined vertex may take only one
-    more edge, so the mark also limits it."""
-    joined = bytearray(t.n)
-    joined[t.root] = constrained  # the root has no parent edge to emit
-    children = t.children
+    t: RootedTree, single: Sequence[int], pair_a: Sequence[int], pair_b: Sequence[int]
+) -> tuple[LinearForest, LinearForest]:
+    """Both forests from the choice arrays: ``single`` is the child a vertex
+    joins when it may take one edge, (pair_a, pair_b) when two; -1 marks
+    an unused slot. One walk down marks the children joined to their
+    parents for the free root; a joined vertex may take only one more edge,
+    so the mark also limits it. The constrained forest caps the root at one
+    edge, which flips only the marks below it that change their parent's
+    decision, so only those are re-decided. An edge is in a forest iff its
+    child end is marked."""
+    parent = t.parent
+    joined = bytearray(t.n + 1)  # joined[-1] absorbs the unused slots
     for v in t.order:
-        kids = children[v]
-        if not kids:
-            continue
-        if joined[v] or len(kids) == 1:
+        if joined[v]:
             joined[single[v]] = 1
         else:
             joined[pair_a[v]] = joined[pair_b[v]] = 1
-    parent = t.parent
-    # an edge is in the forest iff its child end was joined
-    return LinearForest(tuple(
-        e for e in t.graph.edges if joined[e[1] if parent[e[1]] == e[0] else e[0]]
-    ))
+    capped = bytearray(joined)
+    capped[t.root] = 1
+    flipped = [t.root]
+    for v in flipped:  # grows while it is walked
+        before = {single[v]} if joined[v] else {pair_a[v], pair_b[v]}
+        after = {single[v]} if capped[v] else {pair_a[v], pair_b[v]}
+        for c in before ^ after:
+            if c >= 0:
+                capped[c] ^= 1
+                flipped.append(c)
+    edges = t.graph.edges
+    child = [v if parent[v] == u else u for u, v in edges]
+    return (
+        LinearForest(tuple(compress(edges, map(joined.__getitem__, child)))),
+        LinearForest(tuple(compress(edges, map(capped.__getitem__, child)))),
+    )
 
 
 def max_linear_forest(t: RootedTree) -> DpRecord:
@@ -176,9 +190,8 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
     number of incident edges the optimum allows, preferring children with
     smaller ids.
     """
-    _, top, second, _ = _forest_values(t.parent, reversed(t.order))
-    best = _reconstruct(t, top, top, second, constrained=False)
-    best_constrained = _reconstruct(t, top, top, second, constrained=True)
+    _, top, second, _ = _forest_values(t.parent, reversed(t.order), choices=True)
+    best, best_constrained = _reconstruct(t, top, top, second)
     return DpRecord(best=best, best_constrained=best_constrained)
 
 
@@ -226,8 +239,7 @@ def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
         else:
             f[v] = fc[v]
             pair_a[v] = best_single
-    best = _reconstruct(t, single, pair_a, pair_b, constrained=False)
-    best_constrained = _reconstruct(t, single, pair_a, pair_b, constrained=True)
+    best, best_constrained = _reconstruct(t, single, pair_a, pair_b)
     return DpRecord(best=best, best_constrained=best_constrained)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
 
 
@@ -235,13 +235,15 @@ def _edges_acyclic(n: int, edges: Iterable[Edge]) -> bool:
 
 
 class RootedTree:
-    """A tree with a designated root, parent pointers, and depths.
+    """A tree with a designated root and parent pointers.
 
     ``order`` lists vertices in BFS order from the root, so iterating it in
-    reverse visits children before parents.
+    reverse visits children before parents; siblings are contiguous and in
+    increasing id. ``depth`` and ``children`` are computed from ``parent``
+    and ``order`` on first access and cached.
     """
 
-    __slots__ = ("graph", "root", "parent", "depth", "children", "order")
+    __slots__ = ("graph", "root", "parent", "order", "_depth", "_children")
 
     def __init__(self, graph: Graph, root: int):
         n = graph.n
@@ -251,34 +253,51 @@ class RootedTree:
             raise ValueError("not a tree: edge count differs from n-1")
         adjacency = graph.adjacency
         parent: list[Optional[int]] = [None] * n
-        depth = [-1] * n
-        children: list[tuple[int, ...]] = [()] * n
-        depth[root] = 0
         order = [root]
-        # the order list is the BFS queue: it grows while it is walked
-        for u in order:
+        # the order list is the BFS queue: it grows while it is walked. With
+        # n-1 edges a cycle means a second component; the walk would circle
+        # it for ever, so it stops after n vertices, with the order too long.
+        for u in islice(order, n):
             nbrs = adjacency[u]
             if len(nbrs) == 1 and u != root:
                 continue  # a leaf's one neighbor is its parent
-            d = depth[u] + 1
-            kids = tuple([w for w in nbrs if depth[w] < 0])
-            for w in kids:
-                depth[w] = d
-                parent[w] = u
-            children[u] = kids
-            order += kids
+            p = parent[u]
+            for w in nbrs:
+                if w != p:
+                    parent[w] = u
+                    order.append(w)
         if len(order) != n:
             raise ValueError("not a tree: graph is disconnected")
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
-        self.depth = tuple(depth)
-        self.children = tuple(children)
         self.order = tuple(order)
+        self._depth: Optional[tuple[int, ...]] = None
+        self._children: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @property
+    def depth(self) -> tuple[int, ...]:
+        if self._depth is None:
+            parent = self.parent
+            depth = [0] * self.n
+            for v in self.order[1:]:
+                depth[v] = depth[parent[v]] + 1
+            self._depth = tuple(depth)
+        return self._depth
+
+    @property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        if self._children is None:
+            parent = self.parent
+            kids: list[list[int]] = [[] for _ in range(self.n)]
+            for v in self.order[1:]:  # BFS order keeps siblings increasing
+                kids[parent[v]].append(v)
+            self._children = tuple(map(tuple, kids))
+        return self._children
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"

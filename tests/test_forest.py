@@ -25,6 +25,7 @@ from linforest import (
     star_graph,
     tree_stats,
 )
+from linforest.forest import _forest_values
 from linforest.graph import RootedTree
 
 
@@ -87,6 +88,36 @@ class TestDp:
 
     def test_deep_path_no_recursion_limit(self):
         assert l_of_tree(path_graph(5000)) == 4999
+
+
+class TestGainsAndReconstruction:
+    def test_gain_is_zero_or_one_at_every_root(self):
+        # the lemma the 0/1-gain pass rests on, read off the quadratic
+        # reference solver, which scores every candidate without it
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                for root in range(n):
+                    t = RootedTree(g, root)
+                    rec = max_linear_forest_allpairs(t)
+                    assert rec.value - rec.value_constrained in (0, 1)
+                    assert rec.value == _forest_values(t.parent, reversed(t.order))[0]
+
+    def test_both_forests_of_both_solvers(self):
+        # sizes by brute force: with a new leaf hung at the root, the best
+        # forest has one edge more than the best with the root at degree <= 1
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                best = max_linear_forest_bf(g).value
+                for root in sorted({0, n - 1, root_at_center(g).root}):
+                    t = RootedTree(g, root)
+                    rec = max_linear_forest(t)
+                    assert max_linear_forest_allpairs(t) == rec
+                    for forest in (rec.best, rec.best_constrained):
+                        assert is_linear_forest(g, forest.edges)
+                    assert sum(root in e for e in rec.best_constrained.edges) <= 1
+                    hung = Graph(n + 1, [*g.edges, (root, n)])
+                    assert rec.value == best
+                    assert rec.value_constrained == max_linear_forest_bf(hung).value - 1
 
 
 class TestLOfTree:

@@ -43,6 +43,22 @@ def min_eccentricity_vertices(g: Graph) -> tuple[int, ...]:
         balls = grown
 
 
+def bfs_reference(g: Graph, root: int):
+    """Depths and children by a textbook BFS with a seen test: the children
+    of a vertex are its unseen neighbors, in increasing id."""
+    depth = [-1] * g.n
+    depth[root] = 0
+    children = [()] * g.n
+    queue = [root]
+    for u in queue:
+        kids = tuple(w for w in g.adjacency[u] if depth[w] < 0)
+        for w in kids:
+            depth[w] = depth[u] + 1
+        children[u] = kids
+        queue.extend(kids)
+    return tuple(depth), tuple(children)
+
+
 def has_induced_claw(g: Graph) -> bool:
     """4-subset scan for an induced star with three leaves."""
     for v in range(g.n):
@@ -246,6 +262,34 @@ class TestRooting:
             p = t.parent[v]
             assert t.graph.has_edge(v, p)
             assert t.depth[v] == t.depth[p] + 1
+
+    def test_depth_and_children_on_demand(self):
+        for n in range(1, 7):
+            for g in enumerate_trees(n):
+                for root in range(n):
+                    t = RootedTree(g, root)
+                    depth, children = bfs_reference(g, root)
+                    assert t.depth == depth
+                    assert t.children == children
+                    assert t.depth is t.depth and t.children is t.children
+
+    def test_depth_and_children_read_only(self):
+        t = RootedTree(path_graph(3), 0)
+        for name in ("depth", "children"):
+            with pytest.raises(AttributeError):
+                setattr(t, name, ())
+
+    def test_every_non_tree_with_n_minus_1_edges_is_disconnected(self):
+        # a cycle in the root's component must not keep the walk going
+        for n in range(3, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            for edges in itertools.combinations(pairs, n - 1):
+                g = Graph(n, edges)
+                if g.is_tree():
+                    continue
+                for root in range(n):
+                    with pytest.raises(ValueError, match="^not a tree: graph is disconnected$"):
+                        RootedTree(g, root)
 
 
 class TestStats:
