@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .forest import _forest_values, _leaf_exchange_arrays
+from .forest import _forest_values, _hc_lower, _leaf_exchange_arrays
 from .generate import (
     ENUMERATION_CAP,
     enumerate_tree_arrays,
@@ -356,9 +356,6 @@ class CheckCounts:
         self.saturated += other.saturated
 
 
-CHECKS = ("dp-oracle", "diameter", "hc-bounds", "leaf-exchange", "decycling")
-
-
 @dataclass(frozen=True)
 class SweepConfig:
     """Which cross-checks run at which sizes during a tree sweep.
@@ -414,118 +411,106 @@ def _leaf_pairs(degree: list[int], cfg: SweepConfig, rank: int) -> list[tuple[in
     return rng.sample(pairs, cfg.leaf_exchange_samples)
 
 
-def _sweep_range(args: tuple[int, int, int, SweepConfig]) -> tuple[dict, list[BoundReport]]:
+# The sweep's checks. Each takes one decoded tree (n, its Prüfer rank, the
+# parent, order and degree arrays, the edge list, l and the diameter d) and
+# the config, and returns whether the tree saturates the check's bound and
+# the check's failures, each (description suffix, d, value, lower, upper).
+
+def _check_dp_oracle(n, rank, parent, order, degree, edges, lv, d, cfg):
+    """l equals the brute-force maximum linear forest."""
+    bf = linear_forest_edges(n, edges)[0]
+    return False, (() if bf == lv else (("", None, lv, bf, bf),))
+
+
+def _check_diameter(n, rank, parent, order, degree, edges, lv, d, cfg):
+    """d <= l <= the diameter upper bound."""
+    upper = diam_upper_l_fine(n, d) - cfg.upper_slack
+    return lv == upper, (() if d <= lv <= upper else (("", d, lv, d, upper),))
+
+
+def _check_hc_bounds(n, rank, parent, order, degree, edges, lv, d, cfg):
+    """hc = n - l lies between the completion bounds."""
+    out, excess = hc_bound_counts(degree, edges)
+    hc = n - lv
+    lower = _hc_lower(out, sum(excess))
+    upper = out - 1 - cfg.upper_slack
+    return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
+
+
+def _check_leaf_exchange(n, rank, parent, order, degree, edges, lv, d, cfg):
+    """No leaf exchange lowers l."""
+    failures = []
+    for u_i, u_j in _leaf_pairs(degree, cfg, rank):
+        lv2 = _forest_values(*_leaf_exchange_arrays(parent, order, u_i, u_j))[0]
+        if lv2 < lv:
+            failures.append((f" move {u_i} onto {u_j}", d, lv2, lv, None))
+    return False, failures
+
+
+def _check_decycling(n, rank, parent, order, degree, edges, lv, d, cfg):
+    """The decycling number of L(T) is n - 1 - l and, for d >= 4, lies
+    between the diameter bounds."""
+    nabla = decycling_masks(line_graph_masks(n, edges))[0]
+    if nabla != n - 1 - lv:
+        return False, (("", d, nabla, None, None),)
+    if d < 4:
+        return False, ()
+    lo, hi = diam_bounds_decycling(n, d)
+    hi -= cfg.upper_slack
+    return nabla == hi, (() if lo <= nabla <= hi else (("", d, nabla, lo, hi),))
+
+
+# name, whether the check runs at this n, the least diameter it takes, check
+_CHECK_TABLE = (
+    ("dp-oracle", lambda n, cfg: n <= cfg.dp_oracle_max_n, 0, _check_dp_oracle),
+    ("diameter", lambda n, cfg: True, 4, _check_diameter),
+    ("hc-bounds", lambda n, cfg: n >= 2, 0, _check_hc_bounds),
+    ("leaf-exchange", lambda n, cfg: 2 <= n <= cfg.leaf_exchange_max_n, 0, _check_leaf_exchange),
+    ("decycling", lambda n, cfg: 2 <= n <= cfg.decycling_max_n, 0, _check_decycling),
+)
+CHECKS = tuple(entry[0] for entry in _CHECK_TABLE)
+
+
+def _sweep_range(
+    args: tuple[int, int, int, SweepConfig]
+) -> tuple[dict[str, CheckCounts], list[BoundReport]]:
     """Worker: check every tree with Prüfer rank in [start, stop).
 
     Each tree stays in its decoded arrays: one pass gives l and the
-    diameter, the degrees give the hc-bound counts, and a leaf exchange is
-    one parent change plus a pass. The oracles take the edge list; no Graph
-    is built.
+    diameter, and every check in scope reads them. Scope by n is decided
+    once for the range, scope by diameter per tree; a check in scope for
+    the range checks every tree it does not skip.
     """
     n, start, stop, cfg = args
     counts = {check: CheckCounts() for check in CHECKS}
+    active = []
+    for name, runs_at, min_d, check in _CHECK_TABLE:
+        if runs_at(n, cfg):
+            active.append((name, counts[name], min_d, check))
+        else:
+            counts[name].skipped = stop - start
     violations: list[BoundReport] = []
-    slack = cfg.upper_slack
-    run_dp_oracle = n <= cfg.dp_oracle_max_n
-    run_leaf_exchange = 2 <= n <= cfg.leaf_exchange_max_n
-    run_decycling = 2 <= n <= cfg.decycling_max_n
-
-    def describe(rank: int) -> str:
-        seq = ",".join(map(str, prufer_from_rank(n, rank)))
-        return f"prufer[{seq}]" if seq else f"tree(n={n})"
-
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
         lv, _, _, d = _forest_values(parent, order, diameter=True)
         edges = [(v, parent[v]) for v in order[:-1]]
-
-        if run_dp_oracle:
-            c = counts["dp-oracle"]
-            c.checked += 1
-            bf = linear_forest_edges(n, edges)[0]
-            if bf != lv:
-                c.violations += 1
-                violations.append(
-                    BoundReport("dp-oracle", describe(rank), n, None, lv, bf, bf, False)
-                )
-        else:
-            counts["dp-oracle"].skipped += 1
-
-        if d >= 4:
-            c = counts["diameter"]
-            c.checked += 1
-            upper = diam_upper_l_fine(n, d) - slack
-            ok = d <= lv <= upper
-            if lv == upper:
+        for name, c, min_d, check in active:
+            if d < min_d:
+                c.skipped += 1
+                continue
+            saturated, failures = check(n, rank, parent, order, degree, edges, lv, d, cfg)
+            if saturated:
                 c.saturated += 1
-            if not ok:
-                c.violations += 1
-                violations.append(
-                    BoundReport("diameter", describe(rank), n, d, lv, d, upper, False)
+            if failures:
+                c.violations += len(failures)
+                seq = ",".join(map(str, prufer_from_rank(n, rank)))
+                desc = f"prufer[{seq}]" if seq else f"tree(n={n})"
+                violations.extend(
+                    BoundReport(name, desc + suffix, n, fd, value, lo, hi, False)
+                    for suffix, fd, value, lo, hi in failures
                 )
-        else:
-            counts["diameter"].skipped += 1
-
-        if n >= 2:
-            out, excess = hc_bound_counts(degree, edges)
-            hc = n - lv
-            lower = (out + sum(excess) + 1) // 2
-            upper = out - 1 - slack
-            c = counts["hc-bounds"]
-            c.checked += 1
-            if hc == lower:
-                c.saturated += 1
-            if not lower <= hc <= upper:
-                c.violations += 1
-                violations.append(
-                    BoundReport("hc-bounds", describe(rank), n, d, hc, lower, upper, False)
-                )
-        else:
-            counts["hc-bounds"].skipped += 1
-
-        if run_leaf_exchange:
-            c = counts["leaf-exchange"]
-            c.checked += 1
-            for u_i, u_j in _leaf_pairs(degree, cfg, rank):
-                lv2 = _forest_values(*_leaf_exchange_arrays(parent, order, u_i, u_j))[0]
-                if lv2 < lv:
-                    c.violations += 1
-                    violations.append(
-                        BoundReport(
-                            "leaf-exchange",
-                            f"{describe(rank)} move {u_i} onto {u_j}",
-                            n,
-                            d,
-                            lv2,
-                            lv,
-                            None,
-                            False,
-                        )
-                    )
-        else:
-            counts["leaf-exchange"].skipped += 1
-
-        if run_decycling:
-            c = counts["decycling"]
-            c.checked += 1
-            nabla = decycling_masks(line_graph_masks(n, edges))[0]
-            ok = nabla == n - 1 - lv
-            lo = hi = None
-            if ok and d >= 4:
-                lo, hi = diam_bounds_decycling(n, d)
-                hi -= slack
-                ok = lo <= nabla <= hi
-                if nabla == hi:
-                    c.saturated += 1
-            if not ok:
-                c.violations += 1
-                violations.append(
-                    BoundReport("decycling", describe(rank), n, d, nabla, lo, hi, False)
-                )
-        else:
-            counts["decycling"].skipped += 1
-
-    counts_plain = {k: (v.checked, v.skipped, v.violations, v.saturated) for k, v in counts.items()}
-    return counts_plain, violations
+    for _, c, _, _ in active:
+        c.checked = stop - start - c.skipped
+    return counts, violations
 
 
 _PARALLEL_THRESHOLD = 20000  # below this a pool costs more than it saves
@@ -563,10 +548,10 @@ def verify_theorems(
         else:
             jobs.append((n, 0, total, config))
 
-    def merge(result: tuple[dict, list[BoundReport]]) -> None:
-        counts_plain, viol = result
-        for key, (checked, skipped, bad, sat) in counts_plain.items():
-            counts[key].merge(CheckCounts(checked, skipped, bad, sat))
+    def merge(result: tuple[dict[str, CheckCounts], list[BoundReport]]) -> None:
+        part, viol = result
+        for key, c in part.items():
+            counts[key].merge(c)
         violations.extend(viol)
 
     if processes > 1:

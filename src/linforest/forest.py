@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, RootedTree, TreeStats, _edges_acyclic, leaf_peel
@@ -114,13 +115,7 @@ def _forest_values(
     if diameter:
         h1 = [0] * n
         h2 = [0] * n
-    diam = 0
     for v in order:
-        if diameter:
-            hv = h1[v]
-            through = hv + h2[v]
-            if through > diam:
-                diam = through
         p = parent[v]
         if p is None:
             break
@@ -136,14 +131,15 @@ def _forest_values(
                 if b < 0 or gain > (gb := ones[b] < 2) or (gain == gb and v < b):
                     second[p] = v
         if diameter:
-            hv += 1
+            hv = h1[v] + 1
             if hv > h1[p]:
                 h2[p], h1[p] = h1[p], hv
             elif hv > h2[p]:
                 h2[p] = hv
     one = ones.count(1)
     value = one + 2 * (n - one - ones.count(0))
-    return value, top, second, diam if diameter else None
+    # the longest path whose top vertex is v has h1[v] + h2[v] edges
+    return value, top, second, max(map(add, h1, h2)) if diameter else None
 
 
 def _reconstruct(
@@ -261,9 +257,14 @@ def hc_of_tree(g: Graph) -> int:
 
 
 def hc_lower_bound(stats: TreeStats) -> int:
+    """The completion lower bound of a tree, from its statistics."""
+    return _hc_lower(stats.out, stats.ex_sum)
+
+
+def _hc_lower(out: int, ex_sum: int) -> int:
     """ceil((out + sum of excesses) / 2): every leaf, and every crowded-out
     low-degree neighbor, must meet a new edge on a Hamiltonian cycle."""
-    return (stats.out + stats.ex_sum + 1) // 2
+    return (out + ex_sum + 1) // 2
 
 
 def leaf_exchange(g: Graph, u_i: int, u_j: int) -> Graph:
@@ -312,6 +313,10 @@ def hc_construct(g: Graph) -> Completion:
     each leaf still outside, in id order: walk from it to the nearest
     cycle vertex u, detach u from its smaller-id cycle neighbor w, and add
     the leaf-w edge so the cycle absorbs the whole connecting path.
+    The returned cycle may skip some of the out(T)-1 added edges: when a
+    later splice detaches u from w and that cycle edge is an earlier added
+    edge, it leaves the cycle but stays in the completion, which is still
+    valid, only larger than its own cycle needs.
     Linear time: the cycle's vertices always form a subtree containing
     the root u0, so the nearest cycle vertex is the first one on the walk
     up the parent pointers, and each vertex is walked once.

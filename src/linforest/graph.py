@@ -8,7 +8,6 @@ deterministic and bit-reproducible.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterable, Optional, Sequence
@@ -39,21 +38,23 @@ class Graph:
             raise ValueError(f"vertex count must be non-negative, got {n}")
         normalized = sorted(_normalize_edge(u, v) for u, v in edges)
         if validate:
-            seen: set[Edge] = set()
-            for u, v in normalized:
+            prev = None  # sorted, so a duplicate follows its twin
+            for e in normalized:
+                u, v = e
                 if u == v:
                     raise ValueError(f"self-loop at vertex {u}")
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-                if (u, v) in seen:
+                if e == prev:
                     raise ValueError(f"duplicate edge ({u}, {v})")
-                seen.add((u, v))
+                prev = e
+        # sorted pairs fill each list in increasing order: x's neighbors u
+        # from pairs (u, x), u < x, arrive by increasing u, then those from
+        # pairs (x, v), v > x, by increasing v
         adjacency: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        for lst in adjacency:
-            lst.sort()
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(normalized)
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in adjacency)
@@ -347,36 +348,29 @@ def tree_center(g: Graph) -> tuple[int, ...]:
 
 def root_at_center(g: Graph) -> RootedTree:
     """Root a tree at its center, breaking a two-vertex tie by smaller id."""
-    center = tree_center(g)
-    t = RootedTree(g, center[0])
-    return t
+    return RootedTree(g, tree_center(g)[0])
+
+
+def _peel_diameter(parent: Sequence[Optional[int]], order: Sequence[int], last: int) -> int:
+    """Diameter from leaf_peel's arrays. The peel's root is a center
+    vertex, so its height is the radius, and the diameter is twice the
+    radius, less one when the center has two vertices:
+    2 * height(root) - |center| + 1."""
+    height = [0] * len(order)
+    for v in order:
+        p = parent[v]
+        if p is None:
+            break
+        h = height[v] + 1
+        if h > height[p]:
+            height[p] = h
+    return 2 * height[order[-1]] - (len(order) - last) + 1
 
 
 def tree_diameter(g: Graph) -> int:
-    """Diameter of a tree in edges, via double BFS. 0 for a single vertex."""
-    if g.n <= 1:
-        return 0
-    far, _ = _bfs_farthest(g, 0)
-    _, dist = _bfs_farthest(g, far)
-    return dist
-
-
-def _bfs_farthest(g: Graph, start: int) -> tuple[int, int]:
-    depth = [-1] * g.n
-    depth[start] = 0
-    queue = deque([start])
-    far, fdist = start, 0
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if depth[w] < 0:
-                depth[w] = depth[u] + 1
-                if depth[w] > fdist:
-                    far, fdist = w, depth[w]
-                queue.append(w)
-    if any(d < 0 for d in depth):
-        raise ValueError("graph is disconnected")
-    return far, fdist
+    """Diameter of a tree in edges, from one leaf peel. 0 for a single
+    vertex; raises the peel's ``not a tree`` errors otherwise."""
+    return _peel_diameter(*leaf_peel(g))
 
 
 @dataclass(frozen=True)
@@ -417,8 +411,9 @@ def tree_stats(t: RootedTree) -> TreeStats:
     """Compute leaf count, excess map, diameter/radius/center, and s."""
     g = t.graph
     n = g.n
-    d = tree_diameter(g)
-    center = tree_center(g)
+    parent, order, last = leaf_peel(g)
+    d = _peel_diameter(parent, order, last)
+    center = tuple(sorted(order[last:]))
     r = (d + 1) // 2
     degree = [g.degree(v) for v in range(n)]
     out, excess = hc_bound_counts(degree, g.edges)

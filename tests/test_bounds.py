@@ -28,7 +28,7 @@ from linforest import (
     tree_diameter,
     verify_theorems,
 )
-from linforest.bounds import BoundReport, _leaf_pairs, _sweep_range
+from linforest.bounds import BoundReport, CheckCounts, _leaf_pairs, _sweep_range
 from linforest.graph import Graph
 
 
@@ -269,12 +269,12 @@ class TestHarness:
             SweepConfig(upper_slack=1),
         ):
             whole_counts, whole_violations = _sweep_range((n, 0, total, cfg))
-            counts = {check: (0, 0, 0, 0) for check in whole_counts}
+            counts = {check: CheckCounts() for check in whole_counts}
             violations = []
             for lo, hi in zip(cuts, cuts[1:]):
                 part_counts, part_violations = _sweep_range((n, lo, hi, cfg))
                 for check, c in part_counts.items():
-                    counts[check] = tuple(a + b for a, b in zip(counts[check], c))
+                    counts[check].merge(c)
                 violations += part_violations
             assert whole_violations
             assert counts == whole_counts

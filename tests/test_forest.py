@@ -157,6 +157,9 @@ class TestHc:
         assert hc_lower_bound(tree_stats(root_at_center(star_graph(4)))) == 2
         assert hc_lower_bound(tree_stats(root_at_center(path_graph(5)))) == 1
         assert hc_lower_bound(tree_stats(root_at_center(spider([2, 2, 2])))) == 2
+        # five leaves and no excess: the bound rounds 5/2 up
+        caterpillar = Graph(8, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 6), (2, 7)])
+        assert hc_lower_bound(tree_stats(root_at_center(caterpillar))) == 3
 
 
 class TestHcConstruct:

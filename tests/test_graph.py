@@ -92,6 +92,24 @@ class TestGraph:
         with pytest.raises(ValueError, match="out of range"):
             Graph(2, [(0, 2)])
 
+    def test_names_first_duplicate_in_sorted_order(self):
+        # (4, 5) is repeated first in the input, (2, 3) first once sorted
+        with pytest.raises(ValueError, match=r"^duplicate edge \(2, 3\)$"):
+            Graph(6, [(4, 5), (3, 2), (0, 4), (5, 4), (2, 3)])
+
+    def test_adjacency_matches_naive_build(self):
+        # every graph on <= 5 vertices, given in reverse with flipped pairs
+        for n in range(6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
+                g = Graph(n, [(v, u) for u, v in reversed(edges)])
+                naive = tuple(
+                    tuple(sorted([v for u, v in edges if u == x] + [u for u, v in edges if v == x]))
+                    for x in range(n)
+                )
+                assert g.adjacency == naive
+
     def test_equality_and_hash(self):
         a = Graph(3, [(0, 1), (1, 2)])
         b = Graph(3, [(2, 1), (1, 0)])
@@ -237,9 +255,13 @@ class TestRooting:
                 assert g.has_edge(v, parent[v]) and position[parent[v]] > position[v]
             assert tuple(sorted(order[last:])) == tree_center(g)
 
-    @pytest.mark.parametrize("build", [tree_center, leaf_peel, root_at_center])
+    @pytest.mark.parametrize("build", [tree_center, leaf_peel, root_at_center, tree_diameter])
     def test_not_a_tree_messages_of_the_peel(self, build):
-        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(0, [])):
+        """Every builder on the peel raises the peel's messages. This
+        includes tree_diameter, which once ran a double BFS: that raised
+        only for a disconnected graph and gave a connected graph with a
+        cycle, such as the triangle, a number."""
+        for g in (Graph(4, [(0, 1), (2, 3)]), Graph(0, []), Graph(3, [(0, 1), (1, 2), (0, 2)])):
             with pytest.raises(ValueError, match="^not a tree: edge count differs from n-1$"):
                 build(g)
         # n-1 edges but not a tree: a cycle, with an isolated vertex or a path
