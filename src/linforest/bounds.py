@@ -282,16 +282,12 @@ def family_predicates(t: RootedTree, d: Optional[int] = None) -> FamilyFlags:
     if d is None:
         d = stats.diameter
     g = t.graph
-    ok = stats.diameter <= d and stats.radius <= _ceil_div(d, 2)
-    if ok:
-        for v in range(g.n):
-            if t.depth[v] >= 2 and g.degree(v) > 2:
-                ok = False
-                break
-            if t.depth[v] == 1 and g.degree(v) > 3:
-                ok = False
-                break
-    in_t1 = ok
+    near = set(g.adjacency[t.root])  # depth 1
+    in_t1 = (
+        stats.diameter <= d
+        and stats.radius <= _ceil_div(d, 2)
+        and all(g.degree(v) <= (3 if v in near else 2) for v in range(g.n) if v != t.root)
+    )
     in_t2 = in_t1 and stats.s <= 3
     in_t3 = in_t1 and 2 <= stats.s <= 3
     return FamilyFlags(in_t1=in_t1, in_t2=in_t2, in_t3=in_t3)

@@ -242,7 +242,7 @@ def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
 def l_of_tree(g: Graph) -> int:
     """Number of edges in a maximum linear forest of a tree. The value does
     not depend on the root, so the DP runs on the leaf-peel rooting."""
-    parent, order, _ = leaf_peel(g)
+    parent, order, _, _ = leaf_peel(g)
     return _forest_values(parent, order)[0]
 
 
@@ -251,9 +251,7 @@ def hc_of_tree(g: Graph) -> int:
     Hamiltonian, so the completion number is always positive for n >= 2."""
     if g.n < 2:
         raise ValueError("hamiltonian completion needs n >= 2")
-    if not g.is_tree():
-        raise ValueError("input is not a tree")
-    return g.n - l_of_tree(g)
+    return g.n - l_of_tree(g)  # the peel rejects every non-tree
 
 
 def hc_lower_bound(stats: TreeStats) -> int:
@@ -324,11 +322,10 @@ def hc_construct(g: Graph) -> Completion:
     n = g.n
     if n < 3:
         raise ValueError("hamiltonian completion construction needs n >= 3")
-    if not g.is_tree():
-        raise ValueError("input is not a tree")
     leaves = [v for v in range(n) if g.degree(v) == 1]
+    # the rooting rejects every non-tree; one without leaves is rooted at 0
+    parent = RootedTree(g, leaves[0] if leaves else 0).parent
     u0 = leaves[0]
-    parent = RootedTree(g, u0).parent
     # the cycle as successor/predecessor arrays, -1 off the cycle. It starts
     # as u0 alone, so splicing in the next leaf v0 closes the tree path
     # u0 ... v0 with the edge u0-v0.

@@ -101,20 +101,10 @@ def perfect_kary_size(k: int, h: int) -> int:
 
 
 def perfect_kary(k: int, h: int) -> Graph:
-    """Perfect k-ary tree with h levels: every leaf at depth h-1."""
+    """Perfect k-ary tree with h levels: every leaf at depth h-1. Expanding
+    the vertices in creation order fills the levels one by one."""
     n = perfect_kary_size(k, h)
-    edges = []
-    level = [0]
-    nxt = 1
-    for _ in range(h - 1):
-        new_level = []
-        for v in level:
-            for _ in range(k):
-                edges.append((v, nxt))
-                new_level.append(nxt)
-                nxt += 1
-        level = new_level
-    return Graph(n, edges, validate=False)
+    return kary_tree(k, range((n - 1) // k))
 
 
 def prufer_decode(seq: Sequence[int], n: Optional[int] = None) -> Graph:

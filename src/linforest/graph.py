@@ -304,14 +304,14 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
-def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int]:
+def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int, int]:
     """Strip leaves of a tree in FIFO order until no vertex is left.
 
-    Returns (parent, order, last): each vertex's parent is its one neighbor
-    still present when it is stripped (None for the last one, the root),
-    ``order`` lists children before parents with the root last, and
-    ``order[last:]`` is the last layer stripped, which is the center.
-    Linear time.
+    Returns (parent, order, last, layers): each vertex's parent is its one
+    neighbor still present when it is stripped (None for the last one, the
+    root), ``order`` lists children before parents with the root last,
+    ``order[last:]`` is the last layer stripped, which is the center, and
+    ``layers`` counts the layers stripped. Linear time.
     """
     n = g.n
     if g.m != n - 1:
@@ -321,10 +321,12 @@ def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int]:
     parent: list[Optional[int]] = [None] * n
     order = [v for v in range(n) if deg[v] <= 1]
     i = last = 0
+    layers = 1
     end = len(order)  # the current layer is order[last:end]
     for v in order:
         if i == end:
             last, end = i, len(order)
+            layers += 1
         i += 1
         deg[v] = 0
         for w in adjacency[v]:
@@ -337,12 +339,12 @@ def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int]:
                 break
     if len(order) != n:
         raise ValueError("not a tree: graph contains a cycle")
-    return parent, order, last
+    return parent, order, last, layers
 
 
 def tree_center(g: Graph) -> tuple[int, ...]:
     """Center of a tree by iterative leaf stripping (1 or 2 vertices)."""
-    _, order, last = leaf_peel(g)
+    _, order, last, _ = leaf_peel(g)
     return tuple(sorted(order[last:]))
 
 
@@ -351,26 +353,13 @@ def root_at_center(g: Graph) -> RootedTree:
     return RootedTree(g, tree_center(g)[0])
 
 
-def _peel_diameter(parent: Sequence[Optional[int]], order: Sequence[int], last: int) -> int:
-    """Diameter from leaf_peel's arrays. The peel's root is a center
-    vertex, so its height is the radius, and the diameter is twice the
-    radius, less one when the center has two vertices:
-    2 * height(root) - |center| + 1."""
-    height = [0] * len(order)
-    for v in order:
-        p = parent[v]
-        if p is None:
-            break
-        h = height[v] + 1
-        if h > height[p]:
-            height[p] = h
-    return 2 * height[order[-1]] - (len(order) - last) + 1
-
-
 def tree_diameter(g: Graph) -> int:
-    """Diameter of a tree in edges, from one leaf peel. 0 for a single
+    """Diameter of a tree in edges, from one leaf peel: a longest path
+    climbs layers - 1 edges from a leaf to the center on each side, and
+    crosses the center's own edge when it has two vertices. 0 for a single
     vertex; raises the peel's ``not a tree`` errors otherwise."""
-    return _peel_diameter(*leaf_peel(g))
+    _, order, last, layers = leaf_peel(g)
+    return 2 * (layers - 1) + (len(order) - last) - 1
 
 
 @dataclass(frozen=True)
@@ -411,14 +400,14 @@ def tree_stats(t: RootedTree) -> TreeStats:
     """Compute leaf count, excess map, diameter/radius/center, and s."""
     g = t.graph
     n = g.n
-    parent, order, last = leaf_peel(g)
-    d = _peel_diameter(parent, order, last)
+    _, order, last, layers = leaf_peel(g)
     center = tuple(sorted(order[last:]))
+    d = 2 * (layers - 1) + len(center) - 1
     r = (d + 1) // 2
     degree = [g.degree(v) for v in range(n)]
     out, excess = hc_bound_counts(degree, g.edges)
     ex = {v: excess[v] for v in range(n) if degree[v] >= 2}
-    s = sum(1 for v in range(n) if t.depth[v] == 1 and g.degree(v) == 2)
+    s = sum(1 for v in g.adjacency[t.root] if degree[v] == 2)
     return TreeStats(diameter=d, radius=r, center=center, out=out, ex=ex, s=s)
 
 

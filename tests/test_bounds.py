@@ -5,20 +5,24 @@ import pytest
 
 from linforest import (
     SweepConfig,
+    decycling_number,
     diam_bounds_decycling,
     diam_bounds_l,
     diam_upper_l_fine,
     family_predicates,
+    kary_bounds_decycling,
     kary_bounds_l,
     kary_caterpillar,
     kary_caterpillar_l,
     l_of_tree,
+    line_graph,
     lower_spider,
     perfect_kary_decycling,
     perfect_kary_height,
     perfect_kary_l,
     perfect_kary_recurrence,
     perfect_kary_size,
+    random_kary_tree,
     reports_to_csv,
     root_at_center,
     star_graph,
@@ -73,6 +77,22 @@ class TestKaryBounds:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             kary_bounds_l(8, 3)
+        with pytest.raises(ValueError):
+            kary_bounds_decycling(8, 3)
+
+    def test_decycling_complements_l(self):
+        for k in range(1, 5):
+            for n in range(k + 1, 60, k):
+                low_l, high_l = kary_bounds_l(n, k)
+                assert kary_bounds_decycling(n, k) == (n - 1 - high_l, n - 1 - low_l)
+
+    def test_decycling_bounds_the_oracle(self):
+        for k in (2, 3, 4):
+            for internal in range(1, 20 // k + 1):  # L(T) has n - 1 = k * internal vertices
+                for seed in range(2):
+                    g = random_kary_tree(k, internal, seed)
+                    low, high = kary_bounds_decycling(g.n, k)
+                    assert low <= decycling_number(line_graph(g).graph).value <= high
 
 
 class TestPerfectKary:

@@ -90,6 +90,19 @@ class TestCompute:
         assert main(["compute", "longest-path", path]) == 0
         assert "longest-path=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("quantity, line", [("l", "l=3 "), ("hc", "hc=1"),
+                                                ("longest-path", "longest-path=3 ")])
+    def test_of_linegraph(self, tmp_path, capsys, quantity, line):
+        """The line graph of P5 is P4."""
+        path = write_graph(tmp_path, path_graph(5))
+        assert main(["compute", quantity, path, "--of-linegraph"]) == 0
+        assert capsys.readouterr().out.startswith(line)
+
+    def test_linegraph_is_not_a_quantity(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "linegraph", write_graph(tmp_path, star_graph(4))])
+        assert exc.value.code == 2
+
 
 class TestVerify:
     def test_clean(self, capsys):
@@ -109,6 +122,11 @@ class TestVerify:
     def test_over_cap(self, capsys):
         assert main(["verify", "25"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    def test_no_cap_option(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "11", "--cap-n", "12"])
+        assert exc.value.code == 2
 
 
 class TestLineGraphCmd:

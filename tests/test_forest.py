@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -160,6 +161,21 @@ class TestHc:
         # five leaves and no excess: the bound rounds 5/2 up
         caterpillar = Graph(8, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 5), (2, 6), (2, 7)])
         assert hc_lower_bound(tree_stats(root_at_center(caterpillar))) == 3
+
+
+@pytest.mark.parametrize("solve", [hc_of_tree, hc_construct])
+def test_non_trees_raise_not_a_tree(solve):
+    """Every non-tree on 3 to 5 vertices, leafless ones such as C4 or a
+    triangle plus an isolated vertex included, fails with a ValueError that
+    names the reason."""
+    for n in range(3, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for size in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, size):
+                g = Graph(n, edges)
+                if not g.is_tree():
+                    with pytest.raises(ValueError, match="^not a tree: "):
+                        solve(g)
 
 
 class TestHcConstruct:

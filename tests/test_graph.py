@@ -246,14 +246,16 @@ class TestRooting:
                 assert tree_center(g) == min_eccentricity_vertices(g)
 
     def test_peel_arrays(self):
-        for g in (path_graph(1), path_graph(2), path_graph(6), star_graph(5), spider([3, 2, 2])):
-            parent, order, last = leaf_peel(g)
+        for g, d in ((path_graph(1), 0), (path_graph(2), 1), (path_graph(6), 5), (star_graph(5), 2),
+                     (spider([3, 2, 2]), 5)):
+            parent, order, last, layers = leaf_peel(g)
             assert sorted(order) == list(range(g.n))
             assert parent[order[-1]] is None
             position = {v: i for i, v in enumerate(order)}
             for v in order[:-1]:
                 assert g.has_edge(v, parent[v]) and position[parent[v]] > position[v]
             assert tuple(sorted(order[last:])) == tree_center(g)
+            assert 2 * (layers - 1) + (len(order) - last) - 1 == d
 
     @pytest.mark.parametrize("build", [tree_center, leaf_peel, root_at_center, tree_diameter])
     def test_not_a_tree_messages_of_the_peel(self, build):
