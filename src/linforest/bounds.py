@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .forest import _forest_values, _hc_lower, _leaf_exchange_arrays
+from .forest import _forest_values, _hc_lower, _value_without_leaf
 from .generate import (
     ENUMERATION_CAP,
     enumerate_tree_arrays,
@@ -21,7 +21,7 @@ from .generate import (
     num_labeled_trees,
     prufer_from_rank,
 )
-from .graph import Graph, RootedTree, hc_bound_counts, line_graph_masks, tree_stats
+from .graph import Graph, RootedTree, hc_bound_counts, line_graph_masks, tree_diameter
 from .oracle import decycling_masks, linear_forest_edges
 
 
@@ -277,19 +277,21 @@ class FamilyFlags:
 
 
 def family_predicates(t: RootedTree, d: Optional[int] = None) -> FamilyFlags:
-    """Evaluate the family memberships for a tree rooted at its center."""
-    stats = tree_stats(t)
-    if d is None:
-        d = stats.diameter
+    """Evaluate the family memberships for a tree rooted at its center.
+
+    T1 asks for diameter at most d (by default the tree's own), which
+    keeps the radius ceil(diameter / 2) at most ceil(d / 2), and for the
+    degree caps; T2 and T3 put s, the degree-2 vertices at depth 1, in a
+    window."""
     g = t.graph
     near = set(g.adjacency[t.root])  # depth 1
+    s = sum(1 for v in near if g.degree(v) == 2)
     in_t1 = (
-        stats.diameter <= d
-        and stats.radius <= _ceil_div(d, 2)
+        (d is None or tree_diameter(g) <= d)
         and all(g.degree(v) <= (3 if v in near else 2) for v in range(g.n) if v != t.root)
     )
-    in_t2 = in_t1 and stats.s <= 3
-    in_t3 = in_t1 and 2 <= stats.s <= 3
+    in_t2 = in_t1 and s <= 3
+    in_t3 = in_t1 and 2 <= s <= 3
     return FamilyFlags(in_t1=in_t1, in_t2=in_t2, in_t3=in_t3)
 
 
@@ -408,23 +410,24 @@ def _leaf_pairs(degree: list[int], cfg: SweepConfig, rank: int) -> list[tuple[in
 
 
 # The sweep's checks. Each takes one decoded tree (n, its Prüfer rank, the
-# parent, order and degree arrays, the edge list, l and the diameter d) and
+# parent, order and degree arrays, the edge list, and from the one
+# _forest_values pass l, the diameter d and the gain counts ``ones``) and
 # the config, and returns whether the tree saturates the check's bound and
 # the check's failures, each (description suffix, d, value, lower, upper).
 
-def _check_dp_oracle(n, rank, parent, order, degree, edges, lv, d, cfg):
+def _check_dp_oracle(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
     """l equals the brute-force maximum linear forest."""
     bf = linear_forest_edges(n, edges)[0]
     return False, (() if bf == lv else (("", None, lv, bf, bf),))
 
 
-def _check_diameter(n, rank, parent, order, degree, edges, lv, d, cfg):
+def _check_diameter(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
     """d <= l <= the diameter upper bound."""
     upper = diam_upper_l_fine(n, d) - cfg.upper_slack
     return lv == upper, (() if d <= lv <= upper else (("", d, lv, d, upper),))
 
 
-def _check_hc_bounds(n, rank, parent, order, degree, edges, lv, d, cfg):
+def _check_hc_bounds(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
     """hc = n - l lies between the completion bounds."""
     out, excess = hc_bound_counts(degree, edges)
     hc = n - lv
@@ -433,17 +436,26 @@ def _check_hc_bounds(n, rank, parent, order, degree, edges, lv, d, cfg):
     return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
 
 
-def _check_leaf_exchange(n, rank, parent, order, degree, edges, lv, d, cfg):
-    """No leaf exchange lowers l."""
-    failures = []
-    for u_i, u_j in _leaf_pairs(degree, cfg, rank):
-        lv2 = _forest_values(*_leaf_exchange_arrays(parent, order, u_i, u_j))[0]
-        if lv2 < lv:
-            failures.append((f" move {u_i} onto {u_j}", d, lv2, lv, None))
-    return False, failures
+def _check_leaf_exchange(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
+    """No leaf exchange lowers l. Moving leaf u_i onto any other leaf gives
+    l(T - u_i) + 1, so one walk per leaf decides every pair it starts; the
+    pairs are drawn only when some leaf fails."""
+    low = {}
+    for u in range(n):
+        if degree[u] == 1:
+            lv2 = _value_without_leaf(parent, ones, lv, u) + 1
+            if lv2 < lv:
+                low[u] = lv2
+    if not low:
+        return False, ()
+    return False, [
+        (f" move {u_i} onto {u_j}", d, low[u_i], lv, None)
+        for u_i, u_j in _leaf_pairs(degree, cfg, rank)
+        if u_i in low
+    ]
 
 
-def _check_decycling(n, rank, parent, order, degree, edges, lv, d, cfg):
+def _check_decycling(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
     """The decycling number of L(T) is n - 1 - l and, for d >= 4, lies
     between the diameter bounds."""
     nabla = decycling_masks(line_graph_masks(n, edges))[0]
@@ -472,10 +484,10 @@ def _sweep_range(
 ) -> tuple[dict[str, CheckCounts], list[BoundReport]]:
     """Worker: check every tree with Prüfer rank in [start, stop).
 
-    Each tree stays in its decoded arrays: one pass gives l and the
-    diameter, and every check in scope reads them. Scope by n is decided
-    once for the range, scope by diameter per tree; a check in scope for
-    the range checks every tree it does not skip.
+    Each tree stays in its decoded arrays: one pass gives l, the diameter
+    and the gain counts, and every check in scope reads them. Scope by n
+    is decided once for the range, scope by diameter per tree; a check in
+    scope for the range checks every tree it does not skip.
     """
     n, start, stop, cfg = args
     counts = {check: CheckCounts() for check in CHECKS}
@@ -487,13 +499,14 @@ def _sweep_range(
             counts[name].skipped = stop - start
     violations: list[BoundReport] = []
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
-        lv, _, _, d = _forest_values(parent, order, diameter=True)
+        ones = [0] * n
+        lv, _, _, d = _forest_values(parent, order, diameter=True, ones=ones)
         edges = [(v, parent[v]) for v in order[:-1]]
         for name, c, min_d, check in active:
             if d < min_d:
                 c.skipped += 1
                 continue
-            saturated, failures = check(n, rank, parent, order, degree, edges, lv, d, cfg)
+            saturated, failures = check(n, rank, parent, order, degree, edges, lv, d, ones, cfg)
             if saturated:
                 c.saturated += 1
             if failures:

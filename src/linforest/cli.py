@@ -139,6 +139,8 @@ def _generate(family: str, params: list[int], seed: Optional[int]) -> Graph:
             k, n = need(2)
             if seed is None:
                 raise CliError("kary generation needs --seed")
+            if k < 1:
+                raise CliError("k must be positive")
             if n < 1 or (n - 1) % k != 0:
                 raise CliError(f"kary needs n = 1 mod {k}")
             return generate.random_kary_tree(k, (n - 1) // k, seed)

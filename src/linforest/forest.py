@@ -91,7 +91,7 @@ def is_linear_forest(g: Graph, edges) -> bool:
 
 def _forest_values(
     parent: Sequence[Optional[int]], order: Iterable[int], diameter: bool = False,
-    choices: bool = False,
+    choices: bool = False, ones: Optional[list[int]] = None,
 ) -> tuple[int, Optional[list[int]], Optional[list[int]], Optional[int]]:
     """Bottom-up pass over a rooted tree given as parent pointers (None at
     the root) and an iterable listing children before parents, root last.
@@ -104,10 +104,13 @@ def _forest_values(
     the smaller id among equal gains, so the choice does not depend on the
     order; with ``diameter``, the diameter from pushed heights. Returns
     (f at the root, top child, second child, diameter), with None for what
-    was not asked and -1 for an unused child slot.
+    was not asked and -1 for an unused child slot. A caller that wants the
+    counts passes a zeroed list of length n as ``ones``; the pass counts
+    into it.
     """
     n = len(parent)
-    ones = [0] * n
+    if ones is None:
+        ones = [0] * n
     top = second = None
     if choices:
         top = [-1] * n
@@ -291,7 +294,8 @@ def _leaf_exchange_arrays(
 ) -> tuple[list[Optional[int]], list[int]]:
     """leaf_exchange on the (parent, children-first order) arrays that
     _forest_values reads: u_i moves under u_j and to the front of the
-    order. When u_i is the root, its only child becomes the root."""
+    order. When u_i is the root, its only child becomes the root. A pass
+    over the result is the reference for _value_without_leaf."""
     moved = parent.copy()
     moved[u_i] = u_j
     if u_i == order[-1]:
@@ -302,6 +306,34 @@ def _leaf_exchange_arrays(
         moved_order.remove(u_i)
     moved_order.insert(0, u_i)
     return moved, moved_order
+
+
+def _value_without_leaf(
+    parent: Sequence[Optional[int]], ones: Sequence[int], lv: int, u: int
+) -> int:
+    """l(T - u) for a leaf u of T, from the gain counts ``ones`` of the
+    _forest_values pass over (parent, order) that gave lv = l(T).
+
+    Moving u onto any other leaf w gives this plus 1: w's count of gain-1
+    children goes from 0 to 1, or from at most 1 to at most 2 when w is
+    the root, which adds 1 and changes no gain that w pushes up. Removing
+    u takes its gain-1 push off its parent; the walk goes up while a
+    vertex's gain flips, each flip reversing the push above it. A root u
+    has one child, and its count is that child's gain.
+    """
+    v = parent[u]
+    if v is None:
+        return lv - ones[u]
+    step = -1
+    while v is not None:
+        c = ones[v]
+        new = c + step
+        lv += min(new, 2) - min(c, 2)
+        if (c < 2) == (new < 2):
+            break
+        v = parent[v]
+        step = -step
+    return lv
 
 
 def hc_construct(g: Graph) -> Completion:

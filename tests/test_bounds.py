@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from linforest import (
+    FamilyFlags,
     SweepConfig,
     decycling_number,
     diam_bounds_decycling,
     diam_bounds_l,
     diam_upper_l_fine,
+    enumerate_trees,
     family_predicates,
     kary_bounds_decycling,
     kary_bounds_l,
@@ -30,8 +32,10 @@ from linforest import (
     t2_star,
     t_star,
     tree_diameter,
+    tree_stats,
     verify_theorems,
 )
+from linforest import bounds
 from linforest.bounds import BoundReport, CheckCounts, _leaf_pairs, _sweep_range
 from linforest.graph import Graph
 
@@ -250,6 +254,31 @@ class TestFamilyPredicates:
         assert not family_predicates(t).in_t1
 
 
+    def test_matches_tree_stats_reference(self):
+        def reference(t, d):
+            stats = tree_stats(t)
+            if d is None:
+                d = stats.diameter
+            g = t.graph
+            near = set(g.adjacency[t.root])
+            in_t1 = (
+                stats.diameter <= d
+                and stats.radius <= -(-d // 2)
+                and all(g.degree(v) <= (3 if v in near else 2) for v in range(g.n) if v != t.root)
+            )
+            return FamilyFlags(in_t1, in_t1 and stats.s <= 3, in_t1 and 2 <= stats.s <= 3)
+
+        members = 0
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                t = root_at_center(g)
+                for d in (None, 4, 5, 6):
+                    flags = family_predicates(t, d)
+                    assert flags == reference(t, d)
+                    members += flags.in_t3
+        assert members > 0
+
+
 class TestHarness:
     def test_clean_run(self):
         run = verify_theorems(6)
@@ -314,6 +343,45 @@ class TestHarness:
         cfg = SweepConfig(seed=3)
         assert _leaf_pairs(degree, cfg, 11) == [(3, 2), (2, 3), (2, 0), (1, 3)]
         assert _leaf_pairs(degree, cfg, 12) == [(0, 3), (0, 1), (4, 3), (2, 3)]
+
+
+    def test_one_forest_pass_per_tree(self, monkeypatch):
+        calls = 0
+        forest_values = bounds._forest_values
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return forest_values(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_forest_values", counted)
+        run = verify_theorems(7, SweepConfig(leaf_exchange_all_pairs=True))
+        assert run.ok
+        assert run.counts["leaf-exchange"].checked == run.trees
+        assert calls == run.trees
+
+    # Reports when every leaf exchange counts one less than its true l, so
+    # that each move that keeps l fails. The counts and digests were taken
+    # from the per-pair reference: _forest_values over _leaf_exchange_arrays
+    # for each checked pair, one less. Equal digests mean the same pairs,
+    # in the same order, with the same descriptions and values.
+    @pytest.mark.parametrize(
+        "all_pairs, count, digest",
+        [
+            (True, 4592, "7ee2bc09554b02ee851b606c5897cf4e0932a5073963504dc33898a9bee1f6d0"),
+            (False, 2858, "3c922c70418e30098c25c6ebf5cf58efd58e9cfabc8623ab71ded9f106a20559"),
+        ],
+    )
+    def test_leaf_exchange_failures_pinned(self, monkeypatch, all_pairs, count, digest):
+        value_without_leaf = bounds._value_without_leaf
+        monkeypatch.setattr(
+            bounds, "_value_without_leaf", lambda *args: value_without_leaf(*args) - 1
+        )
+        run = verify_theorems(6, SweepConfig(leaf_exchange_all_pairs=all_pairs))
+        assert {r.check for r in run.violations} == {"leaf-exchange"}
+        text = "\n".join(r.to_text() for r in run.violations)
+        assert len(run.violations) == count
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestReports:

@@ -34,6 +34,11 @@ class TestGen:
         assert main(["gen", "random", "6"]) == 2
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_kary_rejects_nonpositive_k(self, capsys, k):
+        assert main(["gen", "kary", k, "5", "--seed", "1"]) == 2
+        assert "k must be positive" in capsys.readouterr().err
+
     def test_seed_reproducible(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

@@ -5,6 +5,7 @@ import pytest
 
 from linforest import (
     Graph,
+    enumerate_tree_arrays,
     enumerate_trees,
     hc_construct,
     hc_lower_bound,
@@ -26,7 +27,7 @@ from linforest import (
     star_graph,
     tree_stats,
 )
-from linforest.forest import _forest_values
+from linforest.forest import _forest_values, _leaf_exchange_arrays, _value_without_leaf
 from linforest.graph import RootedTree
 
 
@@ -288,3 +289,23 @@ class TestLeafExchange:
                     for b in leaves:
                         if a != b:
                             assert l_of_tree(leaf_exchange(g, a, b)) >= lv
+
+    def test_walk_matches_a_pass_per_pair(self):
+        # the per-leaf walk, plus 1, against a full pass over each exchanged
+        # tree; the enumeration roots every tree at n - 1, often a leaf
+        root_moves = pairs = 0
+        for n in range(2, 8):
+            for parent, order, degree in enumerate_tree_arrays(n):
+                ones = [0] * n
+                lv = _forest_values(parent, order, ones=ones)[0]
+                leaves = [v for v in range(n) if degree[v] == 1]
+                for a in leaves:
+                    moved = _value_without_leaf(parent, ones, lv, a) + 1
+                    for b in leaves:
+                        if a != b:
+                            exchanged = _leaf_exchange_arrays(parent, order, a, b)
+                            assert moved == _forest_values(*exchanged)[0]
+                            pairs += 1
+                            root_moves += a == n - 1
+        assert root_moves > 0 and pairs > 100_000
+
