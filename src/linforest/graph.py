@@ -57,7 +57,18 @@ class Graph:
             adjacency[v].append(u)
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(normalized)
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(lst) for lst in adjacency)
+        del normalized
+        # each list frees its items as soon as its tuple exists, so the two
+        # copies of the adjacency never exist together. The emptied lists
+        # are freed together at the end: freed one by one, their slots take
+        # the next tuples of their size, which spreads the rows of a large
+        # graph over half again as many memory pages.
+        rows: list[tuple[int, ...]] = []
+        for lst in adjacency:
+            rows.append(tuple(lst))
+            lst.clear()
+        del adjacency
+        self.adjacency: tuple[tuple[int, ...], ...] = tuple(rows)
         self._hash: Optional[int] = None
         self._edge_set: Optional[frozenset[Edge]] = None
 
@@ -163,6 +174,7 @@ def parse_graph(text: str, *, max_n: Optional[int] = None) -> Graph:
             raise ParseError(f"line {lineno}: more than {m} edges declared in header")
     if len(edges) != m:
         raise ParseError(f"line {lineno}: header declares {m} edges, found {len(edges)}")
+    del lines, seen  # before Graph holds its own copy of the edges
     return Graph(n, edges, validate=False)
 
 
@@ -201,6 +213,7 @@ def line_graph(g: Graph) -> LineGraph:
         at[v].append(i)
     # two distinct edges share at most one endpoint, so no duplicates
     ledges = [pair for ids in at for pair in combinations(ids, 2)]
+    del at  # before Graph holds its own copy of the edges
     return LineGraph(Graph(g.m, ledges, validate=False), g.edges)
 
 

@@ -1,5 +1,8 @@
+import gc
 import hashlib
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
@@ -11,6 +14,7 @@ from linforest import (
     leaf_peel,
     line_graph,
     parse_graph,
+    random_tree,
     root_at_center,
     spider,
     star_graph,
@@ -71,6 +75,23 @@ def has_induced_claw(g: Graph) -> bool:
     return False
 
 
+def naive_build(n: int, edges) -> tuple[tuple, tuple]:
+    """Sorted edge pairs and per-vertex sorted neighbour tuples, by definition."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    pairs = sorted((min(u, v), max(u, v)) for u, v in edges)
+    return tuple(pairs), tuple(tuple(sorted(row)) for row in rows)
+
+
+def assert_matches_naive(g: Graph, n: int, edges) -> None:
+    assert g.n == n
+    assert (g.edges, g.adjacency) == naive_build(n, edges)
+    assert type(g.adjacency) is tuple and type(g.edges) is tuple
+    assert all(type(row) is tuple for row in g.adjacency)
+
+
 class TestGraph:
     def test_basic_construction(self):
         g = Graph(3, [(1, 0), (1, 2)])
@@ -117,6 +138,28 @@ class TestGraph:
         assert hash(a) == hash(b)
         assert a != Graph(3, [(0, 1), (0, 2)])
 
+    def test_matches_naive_build_at_scale(self):
+        # shuffled, with flipped pairs, given as a list and as a generator
+        for seed in range(3):
+            rng = random.Random(seed)
+            edges = [e[::-1] if rng.random() < 0.5 else e for e in random_tree(2000, seed).edges]
+            rng.shuffle(edges)
+            assert_matches_naive(Graph(2000, edges), 2000, edges)
+            assert_matches_naive(Graph(2000, (e for e in edges), validate=False), 2000, edges)
+        for g in (star_graph(2000), path_graph(2000), star_graph(1), path_graph(2)):
+            assert_matches_naive(g, g.n, g.edges)
+
+    def test_matches_naive_build_with_isolated_vertices(self):
+        for n, edges in (
+            (0, []),
+            (1, []),
+            (5, []),
+            (10, [(7, 2), (3, 7), (2, 9)]),
+            (3000, [(2 * u + 1, 2 * v + 1) for u, v in random_tree(1000, 7).edges]),
+        ):
+            assert_matches_naive(Graph(n, edges), n, edges)
+            assert_matches_naive(Graph(n, iter(edges)), n, edges)
+
 
 class TestParse:
     def test_parse_path(self):
@@ -155,6 +198,44 @@ class TestParse:
 
     def test_trailing_newlines_ok(self):
         assert parse_graph("2 1\n0 1\n\n") == path_graph(2)
+
+
+class TestBuildMemory:
+    """tracemalloc bytes per vertex at n = 10^5. Each adjacency list is
+    emptied as soon as its tuple is made, and no caller keeps a second copy
+    of the edges while Graph sorts its own, so a build peaks well under twice
+    what the finished graph keeps."""
+
+    N = 10**5
+
+    def per_vertex(self, build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = build()
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, retained / self.N, peak / self.N
+
+    def test_random_tree(self):
+        g, retained, peak = self.per_vertex(lambda: random_tree(self.N, 0))
+        assert g.n == self.N
+        assert retained <= 200
+        assert peak <= 300
+
+    def test_parse_graph(self):
+        text = format_graph(random_tree(self.N, 2))
+        g, retained, peak = self.per_vertex(lambda: parse_graph(text))
+        assert g.m == self.N - 1
+        assert retained <= 200
+        assert peak <= 350
+
+    def test_line_graph(self):
+        g = random_tree(self.N, 3)
+        lg, _, peak = self.per_vertex(lambda: line_graph(g))
+        assert lg.graph.n == g.m
+        assert peak <= 400
 
 
 class TestLineGraph:
