@@ -166,9 +166,9 @@ def _tree_graph(parent: Sequence[Optional[int]], order: Sequence[int]) -> Graph:
     """The tree joining every vertex but the root (last in order) to its
     parent. Ids taken from order, not counted afresh, share their int
     objects with the decoding, which keeps a 10^6-vertex Graph smaller.
-    The edges reach Graph as a generator, so the only list of edge pairs
-    is Graph's own sorted one."""
-    edges = ((v, parent[v]) for v in islice(order, len(order) - 1))
+    The edges reach Graph as a generator of ordered pairs, which Graph
+    keeps, so the only list of edge pairs is Graph's own sorted one."""
+    edges = ((v, p) if v < (p := parent[v]) else (p, v) for v in islice(order, len(order) - 1))
     return Graph(len(parent), edges, validate=False)
 
 

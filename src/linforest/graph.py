@@ -7,10 +7,11 @@ deterministic and bit-reproducible.
 
 from __future__ import annotations
 
+import gc
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 class ParseError(ValueError):
@@ -22,6 +23,18 @@ Edge = tuple[int, int]
 
 def _normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def _ordered_pairs(edges: Iterable[tuple[int, int]]) -> Iterator[Edge]:
+    """Each edge as a pair (u, v) with u < v (or a self-loop (u, u)). An
+    input tuple already in that order is passed on as it is, so a caller's
+    ordered pairs are not copied; a list or a reversed pair gets a new tuple."""
+    for e in edges:
+        u, v = e
+        if u < v:
+            yield e if type(e) is tuple else (u, v)
+        else:
+            yield (v, u)
 
 
 class Graph:
@@ -36,7 +49,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], *, validate: bool = True):
         if n < 0:
             raise ValueError(f"vertex count must be non-negative, got {n}")
-        normalized = sorted(_normalize_edge(u, v) for u, v in edges)
+        normalized = sorted(_ordered_pairs(edges))
         if validate:
             prev = None  # sorted, so a duplicate follows its twin
             for e in normalized:
@@ -48,26 +61,35 @@ class Graph:
                 if e == prev:
                     raise ValueError(f"duplicate edge ({u}, {v})")
                 prev = e
-        # sorted pairs fill each list in increasing order: x's neighbors u
-        # from pairs (u, x), u < x, arrive by increasing u, then those from
-        # pairs (x, v), v > x, by increasing v
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        self.n = n
-        self.edges: tuple[Edge, ...] = tuple(normalized)
-        del normalized
-        # each list frees its items as soon as its tuple exists, so the two
-        # copies of the adjacency never exist together. The emptied lists
-        # are freed together at the end: freed one by one, their slots take
-        # the next tuples of their size, which spreads the rows of a large
-        # graph over half again as many memory pages.
-        rows: list[tuple[int, ...]] = []
-        for lst in adjacency:
-            rows.append(tuple(lst))
-            lst.clear()
-        del adjacency
+        # n live lists and the row tuples hold only ints, so they form no
+        # cycle, yet each collection of the oldest generation would walk
+        # all of them: the cyclic collector is paused while they exist.
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            # sorted pairs fill each list in increasing order: x's neighbors
+            # u from pairs (u, x), u < x, arrive by increasing u, then those
+            # from pairs (x, v), v > x, by increasing v
+            adjacency: list[list[int]] = [[] for _ in range(n)]
+            for u, v in normalized:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            self.n = n
+            self.edges: tuple[Edge, ...] = tuple(normalized)
+            del normalized
+            # each list frees its items as soon as its tuple exists, so the
+            # two copies of the adjacency never exist together. The emptied
+            # lists are freed together at the end: freed one by one, their
+            # slots take the next tuples of their size, which spreads the
+            # rows of a large graph over half again as many memory pages.
+            rows: list[tuple[int, ...]] = []
+            for lst in adjacency:
+                rows.append(tuple(lst))
+                lst.clear()
+            del adjacency
+        finally:
+            if was:
+                gc.enable()
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(rows)
         self._hash: Optional[int] = None
         self._edge_set: Optional[frozenset[Edge]] = None
@@ -207,13 +229,19 @@ class LineGraph:
 def line_graph(g: Graph) -> LineGraph:
     """Build the line graph: one vertex per edge of g, adjacent iff the
     source edges share an endpoint."""
-    at: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        at[u].append(i)
-        at[v].append(i)
-    # two distinct edges share at most one endpoint, so no duplicates
-    ledges = [pair for ids in at for pair in combinations(ids, 2)]
-    del at  # before Graph holds its own copy of the edges
+    was = gc.isenabled()
+    gc.disable()  # n live lists of ints, as in Graph
+    try:
+        at: list[list[int]] = [[] for _ in range(g.n)]
+        for i, (u, v) in enumerate(g.edges):
+            at[u].append(i)
+            at[v].append(i)
+        # two distinct edges share at most one endpoint, so no duplicates
+        ledges = [pair for ids in at for pair in combinations(ids, 2)]
+        del at  # before Graph holds its own copy of the edges
+    finally:
+        if was:
+            gc.enable()
     return LineGraph(Graph(g.m, ledges, validate=False), g.edges)
 
 
@@ -307,10 +335,16 @@ class RootedTree:
     def children(self) -> tuple[tuple[int, ...], ...]:
         if self._children is None:
             parent = self.parent
-            kids: list[list[int]] = [[] for _ in range(self.n)]
-            for v in self.order[1:]:  # BFS order keeps siblings increasing
-                kids[parent[v]].append(v)
-            self._children = tuple(map(tuple, kids))
+            was = gc.isenabled()
+            gc.disable()  # n live lists of ints, as in Graph
+            try:
+                kids: list[list[int]] = [[] for _ in range(self.n)]
+                for v in self.order[1:]:  # BFS order keeps siblings increasing
+                    kids[parent[v]].append(v)
+                self._children = tuple(map(tuple, kids))
+            finally:
+                if was:
+                    gc.enable()
         return self._children
 
     def __repr__(self) -> str:
