@@ -229,19 +229,13 @@ class LineGraph:
 def line_graph(g: Graph) -> LineGraph:
     """Build the line graph: one vertex per edge of g, adjacent iff the
     source edges share an endpoint."""
-    was = gc.isenabled()
-    gc.disable()  # n live lists of ints, as in Graph
-    try:
-        at: list[list[int]] = [[] for _ in range(g.n)]
-        for i, (u, v) in enumerate(g.edges):
-            at[u].append(i)
-            at[v].append(i)
-        # two distinct edges share at most one endpoint, so no duplicates
-        ledges = [pair for ids in at for pair in combinations(ids, 2)]
-        del at  # before Graph holds its own copy of the edges
-    finally:
-        if was:
-            gc.enable()
+    at: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edges):
+        at[u].append(i)
+        at[v].append(i)
+    # two distinct edges share at most one endpoint, so no duplicates
+    ledges = [pair for ids in at for pair in combinations(ids, 2)]
+    del at  # before Graph holds its own copy of the edges
     return LineGraph(Graph(g.m, ledges, validate=False), g.edges)
 
 
@@ -335,16 +329,10 @@ class RootedTree:
     def children(self) -> tuple[tuple[int, ...], ...]:
         if self._children is None:
             parent = self.parent
-            was = gc.isenabled()
-            gc.disable()  # n live lists of ints, as in Graph
-            try:
-                kids: list[list[int]] = [[] for _ in range(self.n)]
-                for v in self.order[1:]:  # BFS order keeps siblings increasing
-                    kids[parent[v]].append(v)
-                self._children = tuple(map(tuple, kids))
-            finally:
-                if was:
-                    gc.enable()
+            kids: list[list[int]] = [[] for _ in range(self.n)]
+            for v in self.order[1:]:  # BFS order keeps siblings increasing
+                kids[parent[v]].append(v)
+            self._children = tuple(map(tuple, kids))
         return self._children
 
     def __repr__(self) -> str:
