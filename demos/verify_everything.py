@@ -8,11 +8,7 @@ import os
 
 from linforest import SweepConfig, verify_theorems
 
-run = verify_theorems(
-    7,
-    SweepConfig(leaf_exchange_all_pairs=True),
-    processes=os.cpu_count() or 1,
-)
+run = verify_theorems(7, processes=os.cpu_count() or 1)
 for line in run.summary_lines():
     print(line)
 

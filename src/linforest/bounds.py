@@ -7,11 +7,10 @@ where a bound is a true rational. No floating point.
 
 from __future__ import annotations
 
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import ClassVar, Iterable, Optional
 
 from .forest import _forest_values, _hc_lower, _value_without_leaf
 from .generate import (
@@ -356,18 +355,20 @@ class CheckCounts:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Which cross-checks run at which sizes during a tree sweep.
+    """What a tree sweep reports.
 
     ``upper_slack`` tightens every upper bound by that amount; it exists so
-    the harness can prove it would actually catch violations.
+    the harness can prove it would actually catch violations. The largest
+    n of each brute-force check is fixed: the acceptance criteria's scales
+    rest on it.
     """
 
-    dp_oracle_max_n: int = 9
-    decycling_max_n: int = 8
-    leaf_exchange_max_n: int = 8
-    leaf_exchange_all_pairs: bool = False
-    leaf_exchange_samples: int = 4
+    dp_oracle_max_n: ClassVar[int] = 9
+    decycling_max_n: ClassVar[int] = 8
+    leaf_exchange_max_n: ClassVar[int] = 8
+    # read by no check; kept only while the benchmark still sets them
     seed: int = 0
+    leaf_exchange_all_pairs: bool = False
     upper_slack: int = 0
 
 
@@ -396,66 +397,47 @@ class VerifyRun:
         return lines
 
 
-def _leaf_pairs(degree: list[int], cfg: SweepConfig, rank: int) -> list[tuple[int, int]]:
-    n = len(degree)
-    leaves = [v for v in range(n) if degree[v] == 1]
-    pairs = [(a, b) for a in leaves for b in leaves if a != b]
-    if cfg.leaf_exchange_all_pairs or len(pairs) <= cfg.leaf_exchange_samples:
-        return pairs
-    # per-tree seed, so the draw is independent of range partitioning and
-    # of the interpreter's hash(); the mix is injective for n < 2^8 and
-    # rank < 2^40, which covers every enumerable n
-    rng = random.Random((((cfg.seed << 8) + n) << 40) + rank)
-    return rng.sample(pairs, cfg.leaf_exchange_samples)
+# The sweep's checks. Each takes one decoded tree (n, the parent and degree
+# arrays, the edge list, and from the one _forest_values pass l, the
+# diameter d and the gain counts ``ones``) and the upper-bound slack, and
+# returns whether the tree saturates the check's bound and the check's
+# failures, each (description suffix, d, value, lower, upper).
 
-
-# The sweep's checks. Each takes one decoded tree (n, its Prüfer rank, the
-# parent, order and degree arrays, the edge list, and from the one
-# _forest_values pass l, the diameter d and the gain counts ``ones``) and
-# the config, and returns whether the tree saturates the check's bound and
-# the check's failures, each (description suffix, d, value, lower, upper).
-
-def _check_dp_oracle(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
+def _check_dp_oracle(n, parent, degree, edges, lv, d, ones, slack):
     """l equals the brute-force maximum linear forest."""
     bf = linear_forest_edges(n, edges)[0]
     return False, (() if bf == lv else (("", None, lv, bf, bf),))
 
 
-def _check_diameter(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
+def _check_diameter(n, parent, degree, edges, lv, d, ones, slack):
     """d <= l <= the diameter upper bound."""
-    upper = diam_upper_l_fine(n, d) - cfg.upper_slack
+    upper = diam_upper_l_fine(n, d) - slack
     return lv == upper, (() if d <= lv <= upper else (("", d, lv, d, upper),))
 
 
-def _check_hc_bounds(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
+def _check_hc_bounds(n, parent, degree, edges, lv, d, ones, slack):
     """hc = n - l lies between the completion bounds."""
     out, excess = hc_bound_counts(degree, edges)
     hc = n - lv
     lower = _hc_lower(out, sum(excess))
-    upper = out - 1 - cfg.upper_slack
+    upper = out - 1 - slack
     return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
 
 
-def _check_leaf_exchange(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
-    """No leaf exchange lowers l. Moving leaf u_i onto any other leaf gives
-    l(T - u_i) + 1, so one walk per leaf decides every pair it starts; the
-    pairs are drawn only when some leaf fails."""
-    low = {}
-    for u in range(n):
-        if degree[u] == 1:
-            lv2 = _value_without_leaf(parent, ones, lv, u) + 1
-            if lv2 < lv:
-                low[u] = lv2
-    if not low:
-        return False, ()
-    return False, [
-        (f" move {u_i} onto {u_j}", d, low[u_i], lv, None)
-        for u_i, u_j in _leaf_pairs(degree, cfg, rank)
-        if u_i in low
-    ]
+def _check_leaf_exchange(n, parent, degree, edges, lv, d, ones, slack):
+    """No leaf exchange lowers l. Moving leaf u onto any other leaf w gives
+    l(T - u) + 1, so one walk per leaf decides every pair it starts; a
+    failing leaf fails with every w."""
+    leaves = [v for v in range(n) if degree[v] == 1]
+    failures = []
+    for u in leaves:
+        lv2 = _value_without_leaf(parent, ones, lv, u) + 1
+        if lv2 < lv:
+            failures += [(f" move {u} onto {w}", d, lv2, lv, None) for w in leaves if w != u]
+    return False, failures
 
 
-def _check_decycling(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
+def _check_decycling(n, parent, degree, edges, lv, d, ones, slack):
     """The decycling number of L(T) is n - 1 - l and, for d >= 4, lies
     between the diameter bounds."""
     nabla = decycling_masks(line_graph_masks(n, edges))[0]
@@ -464,17 +446,17 @@ def _check_decycling(n, rank, parent, order, degree, edges, lv, d, ones, cfg):
     if d < 4:
         return False, ()
     lo, hi = diam_bounds_decycling(n, d)
-    hi -= cfg.upper_slack
+    hi -= slack
     return nabla == hi, (() if lo <= nabla <= hi else (("", d, nabla, lo, hi),))
 
 
-# name, whether the check runs at this n, the least diameter it takes, check
+# name, the largest n it runs at (None: every n), the least diameter, check
 _CHECK_TABLE = (
-    ("dp-oracle", lambda n, cfg: n <= cfg.dp_oracle_max_n, 0, _check_dp_oracle),
-    ("diameter", lambda n, cfg: True, 4, _check_diameter),
-    ("hc-bounds", lambda n, cfg: n >= 2, 0, _check_hc_bounds),
-    ("leaf-exchange", lambda n, cfg: 2 <= n <= cfg.leaf_exchange_max_n, 0, _check_leaf_exchange),
-    ("decycling", lambda n, cfg: 2 <= n <= cfg.decycling_max_n, 0, _check_decycling),
+    ("dp-oracle", SweepConfig.dp_oracle_max_n, 0, _check_dp_oracle),
+    ("diameter", None, 4, _check_diameter),
+    ("hc-bounds", None, 0, _check_hc_bounds),
+    ("leaf-exchange", SweepConfig.leaf_exchange_max_n, 0, _check_leaf_exchange),
+    ("decycling", SweepConfig.decycling_max_n, 0, _check_decycling),
 )
 CHECKS = tuple(entry[0] for entry in _CHECK_TABLE)
 
@@ -490,10 +472,11 @@ def _sweep_range(
     scope for the range checks every tree it does not skip.
     """
     n, start, stop, cfg = args
+    slack = cfg.upper_slack
     counts = {check: CheckCounts() for check in CHECKS}
     active = []
-    for name, runs_at, min_d, check in _CHECK_TABLE:
-        if runs_at(n, cfg):
+    for name, max_n, min_d, check in _CHECK_TABLE:
+        if max_n is None or n <= max_n:
             active.append((name, counts[name], min_d, check))
         else:
             counts[name].skipped = stop - start
@@ -506,7 +489,7 @@ def _sweep_range(
             if d < min_d:
                 c.skipped += 1
                 continue
-            saturated, failures = check(n, rank, parent, order, degree, edges, lv, d, ones, cfg)
+            saturated, failures = check(n, parent, degree, edges, lv, d, ones, slack)
             if saturated:
                 c.saturated += 1
             if failures:

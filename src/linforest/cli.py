@@ -76,9 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("n_max", type=int)
     ver.add_argument("--threads", type=int, default=0,
                      help="worker processes (0 = all available)")
-    ver.add_argument("--seed", type=int, default=0)
-    ver.add_argument("--all-leaf-pairs", action="store_true",
-                     help="check every ordered leaf pair instead of a sample")
     ver.add_argument("--mutate-bounds", action="store_true",
                      help="self-test: tighten uppers by 1 and expect violations")
     ver.add_argument("--out", default=None, help="write the violation report here")
@@ -201,17 +198,18 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         elif q == "hc-construct":
             completion = forest.hc_construct(g)
             lines.append(
-                f"hc={len(completion)} added={_fmt_edges(completion.added_edges)}"
+                f"size={len(completion)} added={_fmt_edges(completion.added_edges)}"
             )
         elif q == "decycling":
             if args.of_linegraph:
-                lg = line_graph(g)
                 parts = []
                 if g.is_tree():
                     dp = g.n - 1 - forest.l_of_tree(g)
                     parts.append(f"{dp} (dp)")
                 try:
-                    res = oracle.decycling_number(lg.graph, cap)
+                    # L(T) has one vertex per edge: check the cap before building it
+                    oracle._check_vertex_cap(g.m, cap, oracle.DEFAULT_VERTEX_CAP)
+                    res = oracle.decycling_number(line_graph(g).graph, cap)
                     parts.append(f"{res.value} (oracle)")
                 except oracle.CapExceeded:
                     if not parts:
@@ -240,11 +238,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     processes = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    config = bounds.SweepConfig(
-        seed=args.seed,
-        leaf_exchange_all_pairs=args.all_leaf_pairs,
-        upper_slack=1 if args.mutate_bounds else 0,
-    )
+    config = bounds.SweepConfig(upper_slack=1 if args.mutate_bounds else 0)
     try:
         run = bounds.verify_theorems(args.n_max, config, processes=processes)
     except ValueError as exc:  # n_max above the enumeration cap

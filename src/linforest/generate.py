@@ -229,7 +229,6 @@ def enumerate_tree_arrays(
     n: int,
     start: int = 0,
     stop: Optional[int] = None,
-    cap: int = ENUMERATION_CAP,
 ) -> Iterator[TreeArrays]:
     """Yield ``prufer_arrays`` of all labeled trees on n vertices in
     lexicographic Prüfer order.
@@ -239,8 +238,8 @@ def enumerate_tree_arrays(
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > cap:
-        raise ValueError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ValueError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     total = num_labeled_trees(n)
     if stop is None:
         stop = total
@@ -263,9 +262,8 @@ def enumerate_trees(
     n: int,
     start: int = 0,
     stop: Optional[int] = None,
-    cap: int = ENUMERATION_CAP,
 ) -> Iterator[Graph]:
     """Yield all labeled trees on n vertices in lexicographic Prüfer order,
     over the same rank range as ``enumerate_tree_arrays``."""
-    for parent, order, _ in enumerate_tree_arrays(n, start, stop, cap):
+    for parent, order, _ in enumerate_tree_arrays(n, start, stop):
         yield _tree_graph(parent, order)

@@ -432,7 +432,9 @@ def hc_bound_counts(degree: Sequence[int], edges: Iterable[Edge]) -> tuple[int, 
 
 
 def tree_stats(t: RootedTree) -> TreeStats:
-    """Compute leaf count, excess map, diameter/radius/center, and s."""
+    """Compute leaf count, excess map, diameter/radius/center, and s; s is
+    taken around the center root ``root_at_center`` picks, whatever t's
+    root."""
     g = t.graph
     n = g.n
     _, order, last, layers = leaf_peel(g)
@@ -442,7 +444,7 @@ def tree_stats(t: RootedTree) -> TreeStats:
     degree = [g.degree(v) for v in range(n)]
     out, excess = hc_bound_counts(degree, g.edges)
     ex = {v: excess[v] for v in range(n) if degree[v] >= 2}
-    s = sum(1 for v in g.adjacency[t.root] if degree[v] == 2)
+    s = sum(1 for v in g.adjacency[center[0]] if degree[v] == 2)
     return TreeStats(diameter=d, radius=r, center=center, out=out, ex=ex, s=s)
 
 

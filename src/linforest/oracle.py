@@ -42,10 +42,10 @@ class OracleResult:
     witness: tuple
 
 
-def _check_vertex_cap(g: Graph, cap: Optional[int], default: int) -> None:
+def _check_vertex_cap(n: int, cap: Optional[int], default: int) -> None:
     limit = default if cap is None else cap
-    if g.n > limit:
-        raise CapExceeded(f"n={g.n} exceeds cap {limit}")
+    if n > limit:
+        raise CapExceeded(f"n={n} exceeds cap {limit}")
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -95,13 +95,13 @@ def decycling_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 def max_induced_forest(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest vertex subset inducing an acyclic subgraph (the quantity
     whose complement is the decycling number)."""
-    _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
     return OracleResult(*induced_forest_masks(adjacency_masks(g)))
 
 
 def decycling_number(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Minimum vertex set whose removal leaves a forest: n - forest size."""
-    _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
     return OracleResult(*decycling_masks(adjacency_masks(g)))
 
 
@@ -123,7 +123,7 @@ def _induces_tree(adj: Sequence[int], subset: tuple[int, ...], mask: int) -> boo
 
 def max_induced_tree(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest vertex subset inducing a connected acyclic subgraph."""
-    _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
     adj = adjacency_masks(g)
     for size in range(g.n, 0, -1):
         for subset in combinations(range(g.n), size):
@@ -176,7 +176,7 @@ def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
     start vertices and neighbors are explored in ascending order, with the
     sequence direction normalized.
     """
-    _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
     best_len = 0
     best_path: tuple[int, ...] = (0,) if g.n else ()
     visited = bytearray(g.n)
@@ -204,7 +204,7 @@ def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
 def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
     """Hamiltonian-cycle existence by backtracking (n >= 3 required for a
     cycle)."""
-    _check_vertex_cap(g, cap, DEFAULT_VERTEX_CAP)
+    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
     n = g.n
     if n < 3:
         return False
@@ -231,7 +231,7 @@ def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
 def hc_bf(g: Graph, cap: Optional[int] = None) -> int:
     """Minimum number of non-edges whose addition makes g Hamiltonian,
     searched by increasing subset size."""
-    _check_vertex_cap(g, cap, DEFAULT_HC_CAP)
+    _check_vertex_cap(g.n, cap, DEFAULT_HC_CAP)
     n = g.n
     if n < 3:
         raise ValueError("hamiltonian completion needs n >= 3")

@@ -54,25 +54,22 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweep_to_8():
-    """All labeled trees n=2..8 with every check on, all leaf pairs."""
-    config = SweepConfig(
-        dp_oracle_max_n=9,
-        decycling_max_n=8,
-        leaf_exchange_max_n=8,
-        leaf_exchange_all_pairs=True,
-    )
-    return verify_theorems(8, config, processes=PROCESSES)
+    """All labeled trees n=2..8 with every check on, every pair of a
+    failing leaf reported."""
+    return verify_theorems(8, processes=PROCESSES)
 
 
 @pytest.fixture(scope="module")
 def sweep_9():
     """All labeled trees at n=9; only the n<=9 checks are in scope."""
-    config = SweepConfig(
-        dp_oracle_max_n=9,
-        decycling_max_n=8,
-        leaf_exchange_max_n=8,
-    )
-    return verify_theorems(9, config, n_min=9, processes=PROCESSES)
+    return verify_theorems(9, n_min=9, processes=PROCESSES)
+
+
+def test_sweep_scales_pinned():
+    # the criteria below rest on these scopes
+    scopes = (SweepConfig.dp_oracle_max_n, SweepConfig.decycling_max_n,
+              SweepConfig.leaf_exchange_max_n)
+    assert scopes == (9, 8, 8)
 
 
 def test_criterion_1_dp_equals_bruteforce(sweep_to_8, sweep_9):

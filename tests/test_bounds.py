@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -36,7 +37,7 @@ from linforest import (
     verify_theorems,
 )
 from linforest import bounds
-from linforest.bounds import BoundReport, CheckCounts, _leaf_pairs, _sweep_range
+from linforest.bounds import BoundReport, CheckCounts, _sweep_range
 from linforest.graph import Graph
 
 
@@ -337,13 +338,12 @@ class TestHarness:
             "d943e41d908df590ad0c5e5a664d1f43b94f66e09892ddf8e0bc10c80b8b283c"
         )
 
-    def test_leaf_pair_sample_pinned(self):
-        # star on 7 vertices: 30 ordered leaf pairs, 4 drawn per tree
-        degree = [1] * 6 + [6]
-        cfg = SweepConfig(seed=3)
-        assert _leaf_pairs(degree, cfg, 11) == [(3, 2), (2, 3), (2, 0), (1, 3)]
-        assert _leaf_pairs(degree, cfg, 12) == [(0, 3), (0, 1), (4, 3), (2, 3)]
-
+    def test_only_upper_slack_is_settable(self):
+        assert [f.name for f in fields(SweepConfig)] == [
+            "seed", "leaf_exchange_all_pairs", "upper_slack"
+        ]
+        with pytest.raises(TypeError):
+            SweepConfig(leaf_exchange_max_n=9)
 
     def test_one_forest_pass_per_tree(self, monkeypatch):
         calls = 0
@@ -369,7 +369,7 @@ class TestHarness:
         "all_pairs, count, digest",
         [
             (True, 4592, "7ee2bc09554b02ee851b606c5897cf4e0932a5073963504dc33898a9bee1f6d0"),
-            (False, 2858, "3c922c70418e30098c25c6ebf5cf58efd58e9cfabc8623ab71ded9f106a20559"),
+            (False, 4592, "7ee2bc09554b02ee851b606c5897cf4e0932a5073963504dc33898a9bee1f6d0"),
         ],
     )
     def test_leaf_exchange_failures_pinned(self, monkeypatch, all_pairs, count, digest):
@@ -382,6 +382,24 @@ class TestHarness:
         text = "\n".join(r.to_text() for r in run.violations)
         assert len(run.violations) == count
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_every_pair_of_a_failing_leaf_reported(self, monkeypatch):
+        # the smallest leaf of each tree, the first asked about, fails
+        value_without_leaf = bounds._value_without_leaf
+        last_tree = None
+
+        def first_leaf_fails(parent, ones, lv, u):
+            nonlocal last_tree
+            if ones is last_tree:
+                return value_without_leaf(parent, ones, lv, u)
+            last_tree = ones
+            return value_without_leaf(parent, ones, lv, u) - 1
+
+        monkeypatch.setattr(bounds, "_value_without_leaf", first_leaf_fails)
+        default = verify_theorems(7).violations
+        all_pairs = verify_theorems(7, SweepConfig(leaf_exchange_all_pairs=True)).violations
+        assert default
+        assert default == all_pairs
 
 
 class TestReports:

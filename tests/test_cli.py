@@ -69,6 +69,33 @@ class TestCompute:
         out = capsys.readouterr().out
         assert "1 (dp)" in out and "1 (oracle)" in out
 
+    def test_decycling_of_linegraph_above_cap_builds_no_linegraph(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        def refuse(g):
+            raise AssertionError("line graph built above the oracle's cap")
+
+        monkeypatch.setattr(cli, "line_graph", refuse)
+        path = write_graph(tmp_path, star_graph(30))
+        assert main(["compute", "decycling", path, "--of-linegraph"]) == 0
+        assert capsys.readouterr().out == "decycling(L) = 27 (dp)\n"
+
+    def test_hc_construct_size(self, tmp_path, capsys):
+        from linforest import Graph
+
+        double_star = Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])
+        path = write_graph(tmp_path, double_star)
+        assert main(["compute", "hc-construct", path]) == 0
+        assert capsys.readouterr().out == "size=3 added=1-2 1-4 0-5\n"
+        assert main(["compute", "hc", path]) == 0
+        assert capsys.readouterr().out == "hc=2\n"
+
+    def test_cap_oracle(self, tmp_path, capsys):
+        path = write_graph(tmp_path, path_graph(25))
+        assert main(["compute", "longest-path", path]) == 2
+        assert "n=25 exceeds cap 20" in capsys.readouterr().err
+        assert main(["compute", "longest-path", path, "--cap-oracle", "25"]) == 0
+        assert capsys.readouterr().out.startswith("longest-path=24 ")
+
     def test_hc_construct_rejects_nontree(self, tmp_path, capsys):
         from linforest import Graph
 
@@ -131,6 +158,12 @@ class TestVerify:
     def test_no_cap_option(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "11", "--cap-n", "12"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("option", [["--seed", "1"], ["--all-leaf-pairs"]])
+    def test_no_leaf_pair_sample_options(self, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "5"] + option)
         assert exc.value.code == 2
 
 

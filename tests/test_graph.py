@@ -488,6 +488,15 @@ class TestStats:
         assert st.diameter == 4
         assert st.s == 3
 
+    def test_s_is_taken_around_the_center(self):
+        # the path 1-0-2 rooted at a leaf still has s = 0 around its center 0
+        assert tree_stats(RootedTree(Graph(3, [(0, 1), (0, 2)]), 1)).s == 0
+        for n in range(1, 7):
+            for g in enumerate_trees(n):
+                centered = tree_stats(root_at_center(g))
+                for root in range(n):
+                    assert tree_stats(RootedTree(g, root)) == centered
+
     def test_center_relation(self):
         for g in (path_graph(7), path_graph(8), star_graph(6), spider([3, 2])):
             st = tree_stats(root_at_center(g))
