@@ -520,12 +520,15 @@ def verify_theorems(
 
     The Prüfer rank space is range-partitioned across worker processes;
     results merge in rank order, so the outcome is independent of the
-    process count. Violations are returned as data, never raised.
+    process count. Violations are returned as data, never raised; a range
+    with no tree in it (n_max < n_min) raises ValueError.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n=2")
     if n_max > ENUMERATION_CAP:
         raise ValueError(f"n_max={n_max} exceeds enumeration cap {ENUMERATION_CAP}")
+    if n_max < n_min:
+        raise ValueError(f"n_max={n_max} is below n_min={n_min}: no tree to check")
     counts = {check: CheckCounts() for check in CHECKS}
     violations: list[BoundReport] = []
     trees = 0

@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from typing import Optional, Sequence
 
 from . import bounds, forest, generate, oracle
 from .graph import (
     Graph,
+    NotATree,
     ParseError,
     format_graph,
     line_graph,
@@ -183,17 +185,20 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         g = line_graph(g).graph
     lines: list[str] = []
     try:
+        # l, hc and the dp line of decycling(L) go to the tree solver, whose
+        # peel rejects every non-tree; only then does the oracle answer
         if q == "l":
-            if g.is_tree():
+            try:
                 rec = forest.max_linear_forest(root_at_center(g))
-                lines.append(f"l={rec.value} witness={_fmt_edges(rec.best.edges)}")
-            else:
+            except NotATree:
                 res = oracle.max_linear_forest_bf(g, cap)
                 lines.append(f"l={res.value} witness={_fmt_edges(res.witness)} (oracle)")
-        elif q == "hc":
-            if g.is_tree():
-                lines.append(f"hc={forest.hc_of_tree(g)}")
             else:
+                lines.append(f"l={rec.value} witness={_fmt_edges(rec.best.edges)}")
+        elif q == "hc":
+            try:
+                lines.append(f"hc={forest.hc_of_tree(g)}")
+            except NotATree:
                 lines.append(f"hc={oracle.hc_bf(g, cap)} (oracle)")
         elif q == "hc-construct":
             completion = forest.hc_construct(g)
@@ -203,9 +208,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         elif q == "decycling":
             if args.of_linegraph:
                 parts = []
-                if g.is_tree():
-                    dp = g.n - 1 - forest.l_of_tree(g)
-                    parts.append(f"{dp} (dp)")
+                with suppress(NotATree):
+                    parts.append(f"{g.n - 1 - forest.l_of_tree(g)} (dp)")
                 try:
                     # L(T) has one vertex per edge: check the cap before building it
                     oracle._check_vertex_cap(g.m, cap, oracle.DEFAULT_VERTEX_CAP)
@@ -237,11 +241,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    processes = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    if args.threads < 0:
+        raise CliError(f"--threads must be 0 (all available) or more, got {args.threads}")
+    if args.format == "csv" and args.out is None:
+        raise CliError("--format csv needs --out")
+    processes = args.threads or os.cpu_count() or 1
     config = bounds.SweepConfig(upper_slack=1 if args.mutate_bounds else 0)
     try:
         run = bounds.verify_theorems(args.n_max, config, processes=processes)
-    except ValueError as exc:  # n_max above the enumeration cap
+    except ValueError as exc:  # n_max below 2 or above the enumeration cap
         raise CliError(str(exc)) from exc
     for line in run.summary_lines():
         print(line)

@@ -251,10 +251,13 @@ def l_of_tree(g: Graph) -> int:
 
 def hc_of_tree(g: Graph) -> int:
     """Hamiltonian completion number of a tree: n - l. Trees are never
-    Hamiltonian, so the completion number is always positive for n >= 2."""
+    Hamiltonian, so the completion number is always positive for n >= 2.
+    The peel runs first, so every non-tree, the empty graph too, raises
+    NotATree."""
+    value = l_of_tree(g)
     if g.n < 2:
         raise ValueError("hamiltonian completion needs n >= 2")
-    return g.n - l_of_tree(g)  # the peel rejects every non-tree
+    return g.n - value
 
 
 def hc_lower_bound(stats: TreeStats) -> int:

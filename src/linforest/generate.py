@@ -8,7 +8,7 @@ import random
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph
+from .graph import Graph, NotATree
 
 #: Largest n accepted by enumerate_trees; n^(n-2) grows too fast beyond this.
 ENUMERATION_CAP = 10
@@ -176,7 +176,7 @@ def prufer_encode(g: Graph) -> tuple[int, ...]:
     """Encode a labeled tree as its Prüfer sequence (inverse of decode)."""
     n = g.n
     if not g.is_tree():
-        raise ValueError("prufer_encode needs a tree")
+        raise NotATree("prufer_encode needs a tree")
     if n <= 2:
         return ()
     degree = [g.degree(v) for v in range(n)]

@@ -18,6 +18,12 @@ class ParseError(ValueError):
     """Raised for malformed edge-list documents; messages name the line."""
 
 
+class NotATree(ValueError):
+    """Raised by the leaf peel, ``RootedTree`` and ``prufer_encode`` for a
+    graph that is not a tree. Every tree solver runs one of them first, so a
+    caller can try a solver and fall back to an oracle on this error."""
+
+
 Edge = tuple[int, int]
 
 
@@ -100,9 +106,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edge_set()
@@ -286,7 +289,7 @@ class RootedTree:
         if not (0 <= root < n):
             raise ValueError(f"root {root} out of range")
         if graph.m != n - 1:
-            raise ValueError("not a tree: edge count differs from n-1")
+            raise NotATree("not a tree: edge count differs from n-1")
         adjacency = graph.adjacency
         parent: list[Optional[int]] = [None] * n
         order = [root]
@@ -303,7 +306,7 @@ class RootedTree:
                     parent[w] = u
                     order.append(w)
         if len(order) != n:
-            raise ValueError("not a tree: graph is disconnected")
+            raise NotATree("not a tree: graph is disconnected")
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
@@ -346,11 +349,12 @@ def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int, int]:
     neighbor still present when it is stripped (None for the last one, the
     root), ``order`` lists children before parents with the root last,
     ``order[last:]`` is the last layer stripped, which is the center, and
-    ``layers`` counts the layers stripped. Linear time.
+    ``layers`` counts the layers stripped. Linear time. Raises NotATree
+    for every graph that is not a tree.
     """
     n = g.n
     if g.m != n - 1:
-        raise ValueError("not a tree: edge count differs from n-1")
+        raise NotATree("not a tree: edge count differs from n-1")
     adjacency = g.adjacency
     deg = [len(nbrs) for nbrs in adjacency]  # zeroed once stripped
     parent: list[Optional[int]] = [None] * n
@@ -373,7 +377,7 @@ def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int, int]:
                     order.append(w)
                 break
     if len(order) != n:
-        raise ValueError("not a tree: graph contains a cycle")
+        raise NotATree("not a tree: graph contains a cycle")
     return parent, order, last, layers
 
 
@@ -392,7 +396,7 @@ def tree_diameter(g: Graph) -> int:
     """Diameter of a tree in edges, from one leaf peel: a longest path
     climbs layers - 1 edges from a leaf to the center on each side, and
     crosses the center's own edge when it has two vertices. 0 for a single
-    vertex; raises the peel's ``not a tree`` errors otherwise."""
+    vertex; raises the peel's NotATree errors otherwise."""
     _, order, last, layers = leaf_peel(g)
     return 2 * (layers - 1) + (len(order) - last) - 1
 

@@ -1,9 +1,12 @@
+import hashlib
+import io
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
-from linforest import format_graph, path_graph, star_graph
+from linforest import Graph, format_graph, path_graph, spider, star_graph
 from linforest import cli
 from linforest.cli import main
 
@@ -130,6 +133,51 @@ class TestCompute:
         assert main(["compute", quantity, path, "--of-linegraph"]) == 0
         assert capsys.readouterr().out.startswith(line)
 
+    def test_tree_or_oracle_outputs_pinned(self, capsys, monkeypatch):
+        """The commands that choose between the tree solver and an oracle,
+        on every graph with at most 4 vertices and every 5-vertex graph
+        with 4 edges, read from stdin: one SHA-256 over (argv, document,
+        exit code, stdout, stderr) of every run pins which side answers and
+        every error, down to the empty graph's."""
+        graphs = []
+        for n in range(5):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                graphs.append(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+        graphs.extend(Graph(5, edges) for edges in combinations(combinations(range(5), 2), 4))
+        digest = hashlib.sha256()
+        for g in graphs:
+            text = format_graph(g)
+            for argv in (["compute", "l", "-"], ["compute", "hc", "-"],
+                         ["compute", "decycling", "-", "--of-linegraph"],
+                         ["compute", "l", "-", "--of-linegraph"],
+                         ["compute", "hc", "-", "--of-linegraph"]):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+                code = main(argv)
+                out, err = capsys.readouterr()
+                digest.update(repr((argv, text, code, out, err)).encode())
+        assert len(graphs) == 76 + 210
+        assert digest.hexdigest() == (
+            "d67d22d927f8a8695fc24552bef3b6e9428faee8dca3beeabd0a56858081a1b7"
+        )
+
+    def test_trees_answered_without_is_tree(self, tmp_path, capsys, monkeypatch):
+        """The solver's own peel is the tree test: no command calls
+        Graph.is_tree."""
+        def refuse(self):
+            raise AssertionError("Graph.is_tree called")
+
+        monkeypatch.setattr(Graph, "is_tree", refuse)
+        path = write_graph(tmp_path, spider([2, 1, 1]))
+        for argv, expected in (
+            (["compute", "l", path], "l=3 witness=0-1 0-3 1-2\n"),
+            (["compute", "hc", path], "hc=2\n"),
+            (["compute", "decycling", path, "--of-linegraph"],
+             "decycling(L) = 1 (dp) = 1 (oracle)\n"),
+        ):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+
     def test_linegraph_is_not_a_quantity(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["compute", "linegraph", write_graph(tmp_path, star_graph(4))])
@@ -154,6 +202,24 @@ class TestVerify:
     def test_over_cap(self, capsys):
         assert main(["verify", "25"]) == 2
         assert "cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_max", ["1", "-4"])
+    def test_empty_range(self, capsys, n_max):
+        """A sweep that would examine no tree is an error, not a pass."""
+        assert main(["verify", n_max, "--threads", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n_max={n_max} is below n_min=2" in captured.err
+
+    def test_csv_needs_out(self, capsys):
+        assert main(["verify", "5", "--threads", "1", "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--format csv needs --out" in captured.err
+
+    def test_negative_threads(self, capsys):
+        assert main(["verify", "5", "--threads", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--threads must be 0" in captured.err
 
     def test_no_cap_option(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,6 +5,7 @@ import pytest
 
 from linforest import (
     Graph,
+    NotATree,
     enumerate_tree_arrays,
     enumerate_trees,
     hc_construct,
@@ -155,6 +156,12 @@ class TestHc:
         with pytest.raises(ValueError):
             hc_of_tree(Graph(3, [(0, 1), (1, 2), (0, 2)]))
 
+    def test_empty_graph_is_not_a_tree(self):
+        """The peel runs before the size check, so the empty graph is
+        rejected as a non-tree, as every other caller of the peel sees it."""
+        with pytest.raises(NotATree, match="^not a tree: edge count differs from n-1$"):
+            hc_of_tree(Graph(0, []))
+
     def test_lower_bound_examples(self):
         assert hc_lower_bound(tree_stats(root_at_center(star_graph(4)))) == 2
         assert hc_lower_bound(tree_stats(root_at_center(path_graph(5)))) == 1
@@ -167,7 +174,7 @@ class TestHc:
 @pytest.mark.parametrize("solve", [hc_of_tree, hc_construct])
 def test_non_trees_raise_not_a_tree(solve):
     """Every non-tree on 3 to 5 vertices, leafless ones such as C4 or a
-    triangle plus an isolated vertex included, fails with a ValueError that
+    triangle plus an isolated vertex included, fails with a NotATree that
     names the reason."""
     for n in range(3, 6):
         pairs = list(itertools.combinations(range(n), 2))
@@ -175,7 +182,7 @@ def test_non_trees_raise_not_a_tree(solve):
             for edges in itertools.combinations(pairs, size):
                 g = Graph(n, edges)
                 if not g.is_tree():
-                    with pytest.raises(ValueError, match="^not a tree: "):
+                    with pytest.raises(NotATree, match="^not a tree: "):
                         solve(g)
 
 

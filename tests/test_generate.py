@@ -1,6 +1,8 @@
 import pytest
 
 from linforest import (
+    Graph,
+    NotATree,
     enumerate_trees,
     kary_tree,
     num_labeled_trees,
@@ -105,6 +107,11 @@ class TestPrufer:
         for seed in range(20):
             g = random_tree(8, seed)
             assert prufer_decode(prufer_encode(g)) == g
+
+    def test_encode_rejects_non_trees(self):
+        for g in (Graph(0, []), Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(4, [(0, 1), (2, 3)])):
+            with pytest.raises(NotATree, match="^prufer_encode needs a tree$"):
+                prufer_encode(g)
 
     def test_random_tree_deterministic(self):
         assert random_tree(9, 4) == random_tree(9, 4)

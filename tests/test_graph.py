@@ -9,6 +9,7 @@ import pytest
 
 from linforest import (
     Graph,
+    NotATree,
     ParseError,
     enumerate_trees,
     format_graph,
@@ -418,19 +419,19 @@ class TestRooting:
         only for a disconnected graph and gave a connected graph with a
         cycle, such as the triangle, a number."""
         for g in (Graph(4, [(0, 1), (2, 3)]), Graph(0, []), Graph(3, [(0, 1), (1, 2), (0, 2)])):
-            with pytest.raises(ValueError, match="^not a tree: edge count differs from n-1$"):
+            with pytest.raises(NotATree, match="^not a tree: edge count differs from n-1$"):
                 build(g)
         # n-1 edges but not a tree: a cycle, with an isolated vertex or a path
         for g in (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])):
-            with pytest.raises(ValueError, match="^not a tree: graph contains a cycle$"):
+            with pytest.raises(NotATree, match="^not a tree: graph contains a cycle$"):
                 build(g)
 
     @pytest.mark.parametrize("root", [0, 4])
     def test_not_a_tree_messages_of_rooted_tree(self, root):
-        with pytest.raises(ValueError, match="^not a tree: edge count differs from n-1$"):
+        with pytest.raises(NotATree, match="^not a tree: edge count differs from n-1$"):
             RootedTree(Graph(5, [(0, 1), (2, 3)]), root)
         for g in (Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)]), Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])):
-            with pytest.raises(ValueError, match="^not a tree: graph is disconnected$"):
+            with pytest.raises(NotATree, match="^not a tree: graph is disconnected$"):
                 RootedTree(g, root)
 
     def test_rooted_tree_structure(self):
