@@ -7,7 +7,6 @@ where a bound is a true rational. No floating point.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable, Optional
@@ -32,13 +31,19 @@ def _ceil_div(a: int, b: int) -> int:
 # bound formulas
 
 
-def diam_bounds_l(n: int, d: int) -> tuple[int, int]:
-    """Bounds on the maximum linear forest size of a tree with n vertices
-    and diameter d >= 4. The diametral path gives the lower bound."""
+def _diameter_domain(n: int, d: int) -> None:
+    """Reject (n, d) unless d >= 4 and a tree with n vertices can have
+    diameter d; the three diameter bounds share this domain."""
     if d < 4:
         raise ValueError(f"diameter bounds need d >= 4, got {d}")
     if n < d + 1:
         raise ValueError(f"a tree with diameter {d} needs at least {d + 1} vertices")
+
+
+def diam_bounds_l(n: int, d: int) -> tuple[int, int]:
+    """Bounds on the maximum linear forest size of a tree with n vertices
+    and diameter d >= 4. The diametral path gives the lower bound."""
+    _diameter_domain(n, d)
     if d % 2 == 0:
         return d, ((d - 2) * n + 2) // (d - 1)
     return d, ((d - 3) * n + 4) // (d - 2)
@@ -49,6 +54,7 @@ def diam_upper_l_fine(n: int, d: int) -> int:
     deep leaves (n <= 2d-1) the +3 numerator applies instead of +4."""
     if d % 2 == 0:
         return diam_bounds_l(n, d)[1]
+    _diameter_domain(n, d)
     r = (d - 1) // 2
     if n <= 4 * r + 1:
         return ((d - 3) * n + 3) // (d - 2)
@@ -58,8 +64,7 @@ def diam_upper_l_fine(n: int, d: int) -> int:
 def diam_bounds_decycling(n: int, d: int) -> tuple[int, int]:
     """Bounds on the decycling number of the line graph of a tree with
     n vertices and diameter d >= 4; the complement of diam_bounds_l."""
-    if d < 4:
-        raise ValueError(f"diameter bounds need d >= 4, got {d}")
+    _diameter_domain(n, d)
     if d % 2 == 0:
         return _ceil_div(n - d - 1, d - 1), n - d - 1
     return _ceil_div(n - d - 2, d - 2), n - d - 1
@@ -240,14 +245,18 @@ def t2_star(n: int, d: int) -> Graph:
     return Graph(n, edges, validate=False)
 
 
-def kary_caterpillar(n: int, k: int) -> Graph:
-    """k-ary tree with exactly one internal vertex per level. Saturates the
-    k-ary upper bound (2n-2)/k for k >= 3; follows the parity formula of
-    kary_caterpillar_l for k = 2."""
+def _kary_caterpillar_domain(n: int, k: int) -> None:
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
     if n < k + 1 or (n - 1) % k != 0:
         raise ValueError(f"need n = 1 mod {k} and n >= {k + 1}, got n={n}")
+
+
+def kary_caterpillar(n: int, k: int) -> Graph:
+    """k-ary tree with exactly one internal vertex per level. Saturates the
+    k-ary upper bound (2n-2)/k for k >= 3; follows the parity formula of
+    kary_caterpillar_l for k = 2."""
+    _kary_caterpillar_domain(n, k)
     levels = (n - 1) // k
     expansions = [0] + [i * k + 1 for i in range(levels - 1)]
     return kary_tree(k, expansions)
@@ -256,6 +265,7 @@ def kary_caterpillar(n: int, k: int) -> Graph:
 def kary_caterpillar_l(n: int, k: int) -> int:
     """Maximum linear forest size of kary_caterpillar(n, k): (2n-2)/k for
     k >= 3; for k = 2 it depends on the parity of the level count."""
+    _kary_caterpillar_domain(n, k)
     if k >= 3:
         return (2 * n - 2) // k
     levels = (n - 1) // 2
@@ -550,6 +560,10 @@ def verify_theorems(
         violations.extend(viol)
 
     if processes > 1:
+        # imported here: a serial sweep, and every other command, never
+        # loads the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             for result in pool.map(_sweep_range, jobs):
                 merge(result)

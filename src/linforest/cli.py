@@ -119,13 +119,47 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
+# where a family's parameters hold its vertex count n
+_N_AT = {"path": 0, "star": 0, "random": 0, "kary": 1, "lower-spider": 0, "tstar": 0,
+         "t1star": 0, "t2star": 0, "kary-caterpillar": 0}
+
+
+def _family_vertices(family: str, params: list[int]) -> Optional[int]:
+    """The vertex count ``gen`` would build, from the parameters alone; 0
+    where they do not name one (the builder then says what is wrong). A
+    perfect k-ary tree is summed level by level and gives None once it
+    passes the limit, so no k**h is computed for a huge h."""
+    if family == "spider":
+        return 1 + sum(params)
+    if family == "prufer":
+        return len(params) + 2
+    if family == "perfect-kary" and len(params) == 2:
+        k, h = params
+        if k == 1:
+            return h
+        n, level = 0, 1
+        for _ in range(h if k > 1 else 0):  # k < 1: the builder rejects it
+            n += level
+            if n > MAX_CLI_VERTICES:
+                return None
+            level *= k
+        return n
+    at = _N_AT.get(family)
+    return params[at] if at is not None and at < len(params) else 0
+
+
 def _generate(family: str, params: list[int], seed: Optional[int]) -> Graph:
     def need(count: int) -> list[int]:
         if len(params) != count:
             raise CliError(f"{family} takes {count} parameter(s), got {len(params)}")
         return params
 
-    try:
+    try:  # an n too long for str() raises ValueError, which exits 2 too
+        n = _family_vertices(family, params)
+        if n is None or n > MAX_CLI_VERTICES:
+            size = f"n > {MAX_CLI_VERTICES}" if n is None else f"n = {n}"
+            raise CliError(f"{family} would build {size} vertices; at most "
+                           f"{MAX_CLI_VERTICES} are allowed")
         if family == "path":
             return generate.path_graph(*need(1))
         if family == "star":

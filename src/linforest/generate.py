@@ -5,10 +5,10 @@ from __future__ import annotations
 
 import heapq
 import random
-from itertools import islice
+from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph, NotATree
+from .graph import Graph, NotATree, RootedTree
 
 #: Largest n accepted by enumerate_trees; n^(n-2) grows too fast beyond this.
 ENUMERATION_CAP = 10
@@ -173,27 +173,27 @@ def _tree_graph(parent: Sequence[Optional[int]], order: Sequence[int]) -> Graph:
 
 
 def prufer_encode(g: Graph) -> tuple[int, ...]:
-    """Encode a labeled tree as its Prüfer sequence (inverse of decode)."""
+    """Encode a labeled tree as its Prüfer sequence (inverse of decode).
+
+    The rooting at n-1 rejects every non-tree and names each vertex's
+    parent. The smallest-leaf strip never takes n-1 (a smaller leaf always
+    remains), so each stripped leaf's one remaining neighbor is its parent.
+    """
     n = g.n
-    if not g.is_tree():
-        raise NotATree("prufer_encode needs a tree")
-    if n <= 2:
-        return ()
-    degree = [g.degree(v) for v in range(n)]
+    try:
+        parent = RootedTree(g, n - 1).parent
+    except ValueError:
+        raise NotATree("prufer_encode needs a tree") from None
+    degree = [len(nbrs) for nbrs in g.adjacency]
     heap = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(heap)
-    gone = bytearray(n)
     seq = []
     for _ in range(n - 2):
-        leaf = heapq.heappop(heap)
-        gone[leaf] = 1
-        for w in g.adjacency[leaf]:
-            if not gone[w]:
-                seq.append(w)
-                degree[w] -= 1
-                if degree[w] == 1:
-                    heapq.heappush(heap, w)
-                break
+        p = parent[heapq.heappop(heap)]
+        seq.append(p)
+        degree[p] -= 1
+        if degree[p] == 1:
+            heapq.heappush(heap, p)
     return tuple(seq)
 
 
@@ -245,17 +245,8 @@ def enumerate_tree_arrays(
         stop = total
     if not (0 <= start <= stop <= total):
         raise ValueError(f"invalid rank range [{start}, {stop}) for n={n}")
-    seq = list(prufer_from_rank(n, start)) if start < stop else []
-    last = len(seq) - 1
-    for _ in range(start, stop):
+    for seq in islice(product(range(n), repeat=max(0, n - 2)), start, stop):
         yield prufer_arrays(seq, n)
-        # increment the sequence like a base-n counter
-        i = last
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i >= 0:
-            seq[i] += 1
 
 
 def enumerate_trees(

@@ -58,6 +58,16 @@ class TestDiameterBounds:
         with pytest.raises(ValueError):
             diam_bounds_l(10, 3)
 
+    @pytest.mark.parametrize("bound, n, d", [
+        (diam_bounds_decycling, 3, 4),
+        (diam_upper_l_fine, 4, 5),
+        (diam_upper_l_fine, 5, 3),
+        (diam_bounds_l, 4, 4),
+    ])
+    def test_rejects_impossible_trees(self, bound, n, d):
+        with pytest.raises(ValueError, match="diameter"):
+            bound(n, d)
+
     def test_decycling_examples(self):
         assert diam_bounds_decycling(7, 4) == (1, 2)
         assert diam_bounds_decycling(5, 4) == (0, 0)
@@ -187,6 +197,12 @@ class TestConstructions:
     def test_caterpillar_rejects(self):
         with pytest.raises(ValueError):
             kary_caterpillar(8, 3)
+
+    def test_caterpillar_l_rejects_what_the_tree_rejects(self):
+        with pytest.raises(ValueError, match="n = 1 mod 3"):
+            kary_caterpillar(5, 3)
+        with pytest.raises(ValueError, match="n = 1 mod 3"):
+            kary_caterpillar_l(5, 3)
 
     def test_small_constructions_match_oracle(self):
         from linforest import max_linear_forest_bf

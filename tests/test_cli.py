@@ -42,6 +42,48 @@ class TestGen:
         assert main(["gen", "kary", k, "5", "--seed", "1"]) == 2
         assert "k must be positive" in capsys.readouterr().err
 
+    # (family, parameters) building exactly 50 vertices, and 51 or more
+    AT_50 = [("path", ["50"]), ("star", ["50"]), ("spider", ["20", "29"]),
+             ("kary", ["7", "50", "--seed", "1"]), ("perfect-kary", ["1", "50"]),
+             ("prufer", ["0"] * 48), ("random", ["50", "--seed", "1"]),
+             ("lower-spider", ["50", "4"]), ("tstar", ["50", "4"]), ("t1star", ["50", "5"]),
+             ("t2star", ["50", "5"]), ("kary-caterpillar", ["50", "7"])]
+    ABOVE_50 = [("path", ["51"]), ("star", ["51"]), ("spider", ["25", "25"]),
+                ("kary", ["2", "51", "--seed", "1"]), ("perfect-kary", ["1", "51"]),
+                ("perfect-kary", ["2", "6"]), ("perfect-kary", ["2", "1000000000"]),
+                ("prufer", ["0"] * 49), ("random", ["51", "--seed", "1"]),
+                ("lower-spider", ["51", "4"]), ("tstar", ["51", "4"]),
+                ("t1star", ["51", "5"]), ("t2star", ["51", "5"]),
+                ("kary-caterpillar", ["51", "2"])]
+
+    def test_vertex_limit_at_the_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 50)
+        assert {family for family, _ in self.AT_50} == set(cli._N_AT) | {
+            "spider", "perfect-kary", "prufer"}
+        for family, params in self.AT_50:
+            assert main(["gen", family, *params]) == 0, family
+            out = capsys.readouterr().out
+            assert out.startswith("50 49\n") and "\nn=50 m=49 d=" in out, family
+
+    def test_vertex_limit_checked_before_building(self, capsys, monkeypatch):
+        """A family above the limit exits 2, naming n, before any builder runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("builder called")
+
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 50)
+        for name in ("path_graph", "star_graph", "spider", "random_kary_tree", "perfect_kary",
+                     "prufer_decode", "random_tree"):
+            monkeypatch.setattr(cli.generate, name, refuse)
+        for name in ("lower_spider", "t_star", "t1_star", "t2_star", "kary_caterpillar"):
+            monkeypatch.setattr(cli.bounds, name, refuse)
+        for family, params in self.ABOVE_50:
+            assert main(["gen", family, *params]) == 2, family
+            err = capsys.readouterr().err
+            assert "at most 50 are allowed" in err, family
+            # a perfect binary tree is summed only until it passes the limit
+            expected = "n > 50" if family == "perfect-kary" and params[0] == "2" else "n = 51"
+            assert expected in err, family
+
     def test_seed_reproducible(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -262,6 +304,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "n=4 m=3 d=3"
+
+
+def test_import_loads_no_process_pool():
+    """Only a sweep with more than one process imports the pool."""
+    code = ("import sys, linforest, linforest.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_usage_error_is_2():

@@ -3,12 +3,14 @@ import pytest
 from linforest import (
     Graph,
     NotATree,
+    enumerate_tree_arrays,
     enumerate_trees,
     kary_tree,
     num_labeled_trees,
     path_graph,
     perfect_kary,
     perfect_kary_size,
+    prufer_arrays,
     prufer_decode,
     prufer_encode,
     prufer_from_rank,
@@ -98,10 +100,10 @@ class TestPrufer:
             prufer_decode([0], 4)
 
     def test_encode_decode_roundtrip(self):
-        for n in (3, 4, 5, 6):
-            for rank in range(0, num_labeled_trees(n), 7):
+        for n in range(1, 8):
+            for rank in range(num_labeled_trees(n)):
                 seq = prufer_from_rank(n, rank)
-                assert prufer_encode(prufer_decode(seq)) == seq
+                assert prufer_encode(prufer_decode(seq, n)) == seq
 
     def test_decode_encode_roundtrip_on_trees(self):
         for seed in range(20):
@@ -112,6 +114,17 @@ class TestPrufer:
         for g in (Graph(0, []), Graph(3, [(0, 1), (1, 2), (0, 2)]), Graph(4, [(0, 1), (2, 3)])):
             with pytest.raises(NotATree, match="^prufer_encode needs a tree$"):
                 prufer_encode(g)
+
+    def test_encode_runs_no_separate_tree_test(self, monkeypatch):
+        """The rooting at n-1 is the tree test: no Graph.is_tree call."""
+        def refuse(self):
+            raise AssertionError("Graph.is_tree called")
+
+        monkeypatch.setattr(Graph, "is_tree", refuse)
+        assert prufer_encode(prufer_decode([3, 0, 3, 5], 6)) == (3, 0, 3, 5)
+        assert prufer_encode(path_graph(2)) == ()
+        with pytest.raises(NotATree):
+            prufer_encode(Graph(4, [(0, 1), (1, 2), (0, 2)]))
 
     def test_random_tree_deterministic(self):
         assert random_tree(9, 4) == random_tree(9, 4)
@@ -135,13 +148,24 @@ class TestEnumeration:
 
     def test_range_partitioning(self):
         whole = [g.edges for g in enumerate_trees(5)]
-        split = [g.edges for g in enumerate_trees(5, 0, 60)]
-        split += [g.edges for g in enumerate_trees(5, 60, 125)]
-        assert split == whole
+        # cut points, repeated ones giving empty ranges (start == stop)
+        for cuts in ((60,), (0, 0, 60, 60, 125, 125), (1, 24, 25, 26, 124)):
+            bounds = (0, *cuts, 125)
+            split = []
+            for start, stop in zip(bounds, bounds[1:]):
+                split += [g.edges for g in enumerate_trees(5, start, stop)]
+            assert split == whole, cuts
+        assert list(enumerate_trees(5, 60, 60)) == []
 
     def test_rank_matches_order(self):
         for rank, g in enumerate(enumerate_trees(4)):
             assert prufer_decode(prufer_from_rank(4, rank)) == g
+        for n in range(1, 8):
+            ranks = 0
+            for rank, arrays in enumerate(enumerate_tree_arrays(n)):
+                assert arrays == prufer_arrays(prufer_from_rank(n, rank), n)
+                ranks += 1
+            assert ranks == num_labeled_trees(n)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
