@@ -19,7 +19,7 @@ from .generate import (
     num_labeled_trees,
     prufer_from_rank,
 )
-from .graph import Graph, RootedTree, hc_bound_counts, line_graph_masks, tree_diameter
+from .graph import Graph, hc_bound_counts, line_graph_masks
 from .oracle import decycling_masks, linear_forest_edges
 
 
@@ -38,6 +38,15 @@ def _diameter_domain(n: int, d: int) -> None:
         raise ValueError(f"diameter bounds need d >= 4, got {d}")
     if n < d + 1:
         raise ValueError(f"a tree with diameter {d} needs at least {d + 1} vertices")
+
+
+def _kary_domain(n: int, k: int) -> None:
+    """Reject (n, k) unless k >= 2 and a full k-ary tree has n vertices; a
+    1-ary tree is a path, which the k-ary bounds do not describe."""
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k}")
+    if n < k + 1 or (n - 1) % k != 0:
+        raise ValueError(f"need n = 1 mod {k} and n >= {k + 1}, got n={n}")
 
 
 def diam_bounds_l(n: int, d: int) -> tuple[int, int]:
@@ -72,10 +81,7 @@ def diam_bounds_decycling(n: int, d: int) -> tuple[int, int]:
 
 def kary_bounds_l(n: int, k: int) -> tuple[Fraction, Fraction]:
     """Exact rational bounds (n+k-1)/k <= l <= (2n-2)/k for k-ary trees."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if n < k + 1 or (n - 1) % k != 0:
-        raise ValueError(f"a k-ary tree needs n = 1 mod {k} and n >= {k + 1}, got n={n}")
+    _kary_domain(n, k)
     return Fraction(n + k - 1, k), Fraction(2 * n - 2, k)
 
 
@@ -245,18 +251,11 @@ def t2_star(n: int, d: int) -> Graph:
     return Graph(n, edges, validate=False)
 
 
-def _kary_caterpillar_domain(n: int, k: int) -> None:
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
-    if n < k + 1 or (n - 1) % k != 0:
-        raise ValueError(f"need n = 1 mod {k} and n >= {k + 1}, got n={n}")
-
-
 def kary_caterpillar(n: int, k: int) -> Graph:
     """k-ary tree with exactly one internal vertex per level. Saturates the
     k-ary upper bound (2n-2)/k for k >= 3; follows the parity formula of
     kary_caterpillar_l for k = 2."""
-    _kary_caterpillar_domain(n, k)
+    _kary_domain(n, k)
     levels = (n - 1) // k
     expansions = [0] + [i * k + 1 for i in range(levels - 1)]
     return kary_tree(k, expansions)
@@ -265,43 +264,13 @@ def kary_caterpillar(n: int, k: int) -> Graph:
 def kary_caterpillar_l(n: int, k: int) -> int:
     """Maximum linear forest size of kary_caterpillar(n, k): (2n-2)/k for
     k >= 3; for k = 2 it depends on the parity of the level count."""
-    _kary_caterpillar_domain(n, k)
+    _kary_domain(n, k)
     if k >= 3:
         return (2 * n - 2) // k
     levels = (n - 1) // 2
     if levels % 2 == 0:
         return 3 * (n - 1) // 4
     return (3 * n - 1) // 4
-
-
-@dataclass(frozen=True)
-class FamilyFlags:
-    """Membership in the nested normalized-tree families used by the
-    diameter bound analysis (narrow at depth >= 2, bounded branching at
-    depth 1, and an s(T) window)."""
-
-    in_t1: bool
-    in_t2: bool
-    in_t3: bool
-
-
-def family_predicates(t: RootedTree, d: Optional[int] = None) -> FamilyFlags:
-    """Evaluate the family memberships for a tree rooted at its center.
-
-    T1 asks for diameter at most d (by default the tree's own), which
-    keeps the radius ceil(diameter / 2) at most ceil(d / 2), and for the
-    degree caps; T2 and T3 put s, the degree-2 vertices at depth 1, in a
-    window."""
-    g = t.graph
-    near = set(g.adjacency[t.root])  # depth 1
-    s = sum(1 for v in near if g.degree(v) == 2)
-    in_t1 = (
-        (d is None or tree_diameter(g) <= d)
-        and all(g.degree(v) <= (3 if v in near else 2) for v in range(g.n) if v != t.root)
-    )
-    in_t2 = in_t1 and s <= 3
-    in_t3 = in_t1 and 2 <= s <= 3
-    return FamilyFlags(in_t1=in_t1, in_t2=in_t2, in_t3=in_t3)
 
 
 # ---------------------------------------------------------------------------

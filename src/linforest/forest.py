@@ -9,10 +9,10 @@ gain 1, f(v) = base(v) + min(ones(v), 2), fc(v) = base(v) + min(ones(v), 1)
 and v's own gain is 1 iff ones(v) < 2, base(v) being the sum of the
 children's f. One bottom-up pass over parent pointers counts ``ones``,
 which is all the value needs; the solver also records each vertex's two
-best children. One reconstruction turns those choices, or the quadratic
-reference solver's, into both forests: a walk down marks the joined
-children for the free root, and the constrained forest re-decides only
-below the marks that capping the root at one edge flips.
+best children. One reconstruction turns those choices into both forests:
+a walk down marks the joined children for the free root, and the
+constrained forest re-decides only below the marks that capping the root
+at one edge flips.
 """
 
 from __future__ import annotations
@@ -155,7 +155,9 @@ def _reconstruct(
     so the mark also limits it. The constrained forest caps the root at one
     edge, which flips only the marks below it that change their parent's
     decision, so only those are re-decided. An edge is in a forest iff its
-    child end is marked."""
+    child end is marked. max_linear_forest passes (top, top, second); the
+    quadratic reference solver in ``tests/reference.py`` passes its own
+    three arrays."""
     parent = t.parent
     joined = bytearray(t.n + 1)  # joined[-1] absorbs the unused slots
     for v in t.order:
@@ -197,49 +199,6 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
 def max_linear_forest_value(t: RootedTree) -> int:
     """Size-only variant of max_linear_forest, skipping reconstruction."""
     return _forest_values(t.parent, reversed(t.order))[0]
-
-
-def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
-    """Quadratic-per-vertex reference solver that scores every candidate:
-    the root isolated, joined to each single child, or to each child pair.
-
-    Kept as a debug path; must agree with max_linear_forest exactly,
-    including reconstructed edges.
-    """
-    n = t.n
-    f = [0] * n
-    fc = [0] * n
-    single = [-1] * n
-    pair_a = [-1] * n
-    pair_b = [-1] * n
-    for v in reversed(t.order):
-        kids = t.children[v]
-        if not kids:
-            continue
-        base = sum(f[c] for c in kids)
-        best_single_val, best_single = -1, -1
-        for c in kids:
-            val = base - f[c] + fc[c] + 1
-            if val > best_single_val:
-                best_single_val, best_single = val, c
-        best_pair_val, best_pair = -1, (-1, -1)
-        for i in range(len(kids)):
-            for j in range(i + 1, len(kids)):
-                ci, cj = kids[i], kids[j]
-                val = base + (fc[ci] + 1 - f[ci]) + (fc[cj] + 1 - f[cj])
-                if val > best_pair_val:
-                    best_pair_val, best_pair = val, (ci, cj)
-        # joining never hurts, so prefer two edges over one over none on ties
-        fc[v] = max(base, best_single_val)
-        single[v] = best_single
-        if len(kids) >= 2 and best_pair_val >= max(base, best_single_val):
-            f[v] = best_pair_val
-            pair_a[v], pair_b[v] = best_pair
-        else:
-            f[v] = fc[v]
-            pair_a[v] = best_single
-    best, best_constrained = _reconstruct(t, single, pair_a, pair_b)
-    return DpRecord(best=best, best_constrained=best_constrained)
 
 
 def l_of_tree(g: Graph) -> int:
@@ -290,25 +249,6 @@ def leaf_exchange(g: Graph, u_i: int, u_j: int) -> Graph:
     edges = [e for e in g.edges if e != old]
     edges.append(new)
     return Graph(g.n, edges, validate=False)
-
-
-def _leaf_exchange_arrays(
-    parent: list[Optional[int]], order: list[int], u_i: int, u_j: int
-) -> tuple[list[Optional[int]], list[int]]:
-    """leaf_exchange on the (parent, children-first order) arrays that
-    _forest_values reads: u_i moves under u_j and to the front of the
-    order. When u_i is the root, its only child becomes the root. A pass
-    over the result is the reference for _value_without_leaf."""
-    moved = parent.copy()
-    moved[u_i] = u_j
-    if u_i == order[-1]:
-        moved_order = order[:-1]  # ends with the root's only child
-        moved[moved_order[-1]] = None
-    else:
-        moved_order = order.copy()
-        moved_order.remove(u_i)
-    moved_order.insert(0, u_i)
-    return moved, moved_order
 
 
 def _value_without_leaf(

@@ -278,11 +278,10 @@ class RootedTree:
 
     ``order`` lists vertices in BFS order from the root, so iterating it in
     reverse visits children before parents; siblings are contiguous and in
-    increasing id. ``depth`` and ``children`` are computed from ``parent``
-    and ``order`` on first access and cached.
+    increasing id.
     """
 
-    __slots__ = ("graph", "root", "parent", "order", "_depth", "_children")
+    __slots__ = ("graph", "root", "parent", "order")
 
     def __init__(self, graph: Graph, root: int):
         n = graph.n
@@ -311,32 +310,10 @@ class RootedTree:
         self.root = root
         self.parent = tuple(parent)
         self.order = tuple(order)
-        self._depth: Optional[tuple[int, ...]] = None
-        self._children: Optional[tuple[tuple[int, ...], ...]] = None
 
     @property
     def n(self) -> int:
         return self.graph.n
-
-    @property
-    def depth(self) -> tuple[int, ...]:
-        if self._depth is None:
-            parent = self.parent
-            depth = [0] * self.n
-            for v in self.order[1:]:
-                depth[v] = depth[parent[v]] + 1
-            self._depth = tuple(depth)
-        return self._depth
-
-    @property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        if self._children is None:
-            parent = self.parent
-            kids: list[list[int]] = [[] for _ in range(self.n)]
-            for v in self.order[1:]:  # BFS order keeps siblings increasing
-                kids[parent[v]].append(v)
-            self._children = tuple(map(tuple, kids))
-        return self._children
 
     def __repr__(self) -> str:
         return f"RootedTree(n={self.n}, root={self.root})"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .graph import Edge, Graph, _edges_acyclic
 
@@ -248,14 +248,3 @@ def hc_bf(g: Graph, cap: Optional[int] = None) -> int:
             if is_hamiltonian(Graph(n, g.edges + extra, validate=False), cap=n):
                 return k
     raise ValueError("graph cannot be completed to a Hamiltonian cycle")
-
-
-def spanning_trees(g: Graph) -> Iterator[Graph]:
-    """All spanning trees of a connected graph, by filtering (n-1)-edge
-    subsets. Exponential; meant for cross-checks on tiny graphs."""
-    n = g.n
-    if n == 0:
-        return
-    for edges in combinations(g.edges, n - 1):
-        if _edges_acyclic(n, edges):
-            yield Graph(n, edges, validate=False)

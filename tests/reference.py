@@ -1,0 +1,108 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these runs outside the tests. Each is the direct, slower form of
+something the package computes another way: depths and children of a
+rooted tree, the quadratic solver that scores every candidate child pair,
+leaf exchange as a rewrite of the sweep's parent and order arrays, and
+spanning trees by filtering edge subsets. pytest does not collect this
+module; tests import it with ``from reference import ...``.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+from typing import Iterator, Optional
+
+from linforest.forest import DpRecord, _reconstruct
+from linforest.graph import Graph, RootedTree, _edges_acyclic
+
+
+def depth(t: RootedTree) -> tuple[int, ...]:
+    """Each vertex's distance from the root, read off the BFS order."""
+    parent = t.parent
+    depths = [0] * t.n
+    for v in t.order[1:]:
+        depths[v] = depths[parent[v]] + 1
+    return tuple(depths)
+
+
+def children(t: RootedTree) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's children, in increasing id."""
+    parent = t.parent
+    kids: list[list[int]] = [[] for _ in range(t.n)]
+    for v in t.order[1:]:  # BFS order keeps siblings increasing
+        kids[parent[v]].append(v)
+    return tuple(map(tuple, kids))
+
+
+def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
+    """Quadratic-per-vertex solver that scores every candidate: the root
+    isolated, joined to each single child, or to each child pair. It uses
+    no gain lemma, and must agree with max_linear_forest exactly,
+    reconstructed edges included.
+    """
+    n = t.n
+    kids_of = children(t)
+    f = [0] * n
+    fc = [0] * n
+    single = [-1] * n
+    pair_a = [-1] * n
+    pair_b = [-1] * n
+    for v in reversed(t.order):
+        kids = kids_of[v]
+        if not kids:
+            continue
+        base = sum(f[c] for c in kids)
+        best_single_val, best_single = -1, -1
+        for c in kids:
+            val = base - f[c] + fc[c] + 1
+            if val > best_single_val:
+                best_single_val, best_single = val, c
+        best_pair_val, best_pair = -1, (-1, -1)
+        for i in range(len(kids)):
+            for j in range(i + 1, len(kids)):
+                ci, cj = kids[i], kids[j]
+                val = base + (fc[ci] + 1 - f[ci]) + (fc[cj] + 1 - f[cj])
+                if val > best_pair_val:
+                    best_pair_val, best_pair = val, (ci, cj)
+        # joining never hurts, so prefer two edges over one over none on ties
+        fc[v] = max(base, best_single_val)
+        single[v] = best_single
+        if len(kids) >= 2 and best_pair_val >= max(base, best_single_val):
+            f[v] = best_pair_val
+            pair_a[v], pair_b[v] = best_pair
+        else:
+            f[v] = fc[v]
+            pair_a[v] = best_single
+    best, best_constrained = _reconstruct(t, single, pair_a, pair_b)
+    return DpRecord(best=best, best_constrained=best_constrained)
+
+
+def leaf_exchange_arrays(
+    parent: list[Optional[int]], order: list[int], u_i: int, u_j: int
+) -> tuple[list[Optional[int]], list[int]]:
+    """leaf_exchange on the (parent, children-first order) arrays that
+    _forest_values reads: u_i moves under u_j and to the front of the
+    order. When u_i is the root, its only child becomes the root. A pass
+    over the result is the reference for _value_without_leaf."""
+    moved = parent.copy()
+    moved[u_i] = u_j
+    if u_i == order[-1]:
+        moved_order = order[:-1]  # ends with the root's only child
+        moved[moved_order[-1]] = None
+    else:
+        moved_order = order.copy()
+        moved_order.remove(u_i)
+    moved_order.insert(0, u_i)
+    return moved, moved_order
+
+
+def spanning_trees(g: Graph) -> Iterator[Graph]:
+    """All spanning trees of a connected graph, by filtering (n-1)-edge
+    subsets. Exponential; meant for cross-checks on tiny graphs."""
+    n = g.n
+    if n == 0:
+        return
+    for edges in combinations(g.edges, n - 1):
+        if _edges_acyclic(n, edges):
+            yield Graph(n, edges, validate=False)

@@ -5,14 +5,12 @@ from fractions import Fraction
 import pytest
 
 from linforest import (
-    FamilyFlags,
     SweepConfig,
     decycling_number,
     diam_bounds_decycling,
     diam_bounds_l,
     diam_upper_l_fine,
-    enumerate_trees,
-    family_predicates,
+    enumerate_tree_arrays,
     kary_bounds_decycling,
     kary_bounds_l,
     kary_caterpillar,
@@ -27,17 +25,15 @@ from linforest import (
     perfect_kary_size,
     random_kary_tree,
     reports_to_csv,
-    root_at_center,
-    star_graph,
     t1_star,
     t2_star,
     t_star,
     tree_diameter,
-    tree_stats,
     verify_theorems,
 )
 from linforest import bounds
 from linforest.bounds import BoundReport, CheckCounts, _sweep_range
+from linforest.forest import _forest_values
 from linforest.graph import Graph
 
 
@@ -95,11 +91,40 @@ class TestKaryBounds:
         with pytest.raises(ValueError):
             kary_bounds_decycling(8, 3)
 
+    @pytest.mark.parametrize("bound", [kary_bounds_l, kary_bounds_decycling])
+    def test_rejects_k_1(self, bound):
+        # the only 1-ary tree is a path: with 5 vertices its l is 4, outside
+        # the (5, 8) that the formula gives for k = 1
+        for n in (2, 5, 9):
+            with pytest.raises(ValueError, match="k >= 2"):
+                bound(n, 1)
+
     def test_decycling_complements_l(self):
-        for k in range(1, 5):
+        for k in range(2, 5):
             for n in range(k + 1, 60, k):
                 low_l, high_l = kary_bounds_l(n, k)
                 assert kary_bounds_decycling(n, k) == (n - 1 - high_l, n - 1 - low_l)
+
+    def test_every_labeled_full_kary_tree(self):
+        # A tree is full k-ary for some k >= 2 iff one internal vertex has
+        # degree k and every other one degree k + 1; then n - 1 = k times
+        # the internal count, and a star has k = n - 1. The theorem's
+        # (n + k - 1)/k <= l <= (2n - 2)/k is checked in integers.
+        trees = upper = lower = 0
+        for n in range(2, 9):
+            for parent, order, degree in enumerate_tree_arrays(n):
+                internal = sorted(d for d in degree if d > 1)
+                if not internal:
+                    continue
+                k, r = divmod(n - 1, len(internal))
+                if r or k < 2 or internal != [k] + [k + 1] * (len(internal) - 1):
+                    continue
+                kl = k * _forest_values(parent, order)[0]
+                assert n + k - 1 <= kl <= 2 * n - 2
+                trees += 1
+                upper += kl == 2 * n - 2
+                lower += kl == n + k - 1
+        assert (trees, upper, lower) == (3663, 453, 723)
 
     def test_decycling_bounds_the_oracle(self):
         for k in (2, 3, 4):
@@ -251,51 +276,6 @@ class TestLongestPathWindow:
         assert checked > 100
 
 
-class TestFamilyPredicates:
-    def test_t_star_in_t3(self):
-        flags = family_predicates(root_at_center(t_star(8, 4)))
-        assert flags.in_t1 and flags.in_t2 and flags.in_t3
-
-    def test_star_in_t1_not_t3(self):
-        flags = family_predicates(root_at_center(star_graph(4)))
-        assert flags.in_t1 and flags.in_t2 and not flags.in_t3
-
-    def test_deep_branching_excluded(self):
-        # a degree-4 vertex at depth 2 violates the depth>=2 degree cap
-        g = Graph(
-            9,
-            [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (0, 6), (6, 7), (7, 8)],
-        )
-        t = root_at_center(g)
-        assert any(t.depth[v] >= 2 and g.degree(v) > 2 for v in range(g.n))
-        assert not family_predicates(t).in_t1
-
-
-    def test_matches_tree_stats_reference(self):
-        def reference(t, d):
-            stats = tree_stats(t)
-            if d is None:
-                d = stats.diameter
-            g = t.graph
-            near = set(g.adjacency[t.root])
-            in_t1 = (
-                stats.diameter <= d
-                and stats.radius <= -(-d // 2)
-                and all(g.degree(v) <= (3 if v in near else 2) for v in range(g.n) if v != t.root)
-            )
-            return FamilyFlags(in_t1, in_t1 and stats.s <= 3, in_t1 and 2 <= stats.s <= 3)
-
-        members = 0
-        for n in range(1, 8):
-            for g in enumerate_trees(n):
-                t = root_at_center(g)
-                for d in (None, 4, 5, 6):
-                    flags = family_predicates(t, d)
-                    assert flags == reference(t, d)
-                    members += flags.in_t3
-        assert members > 0
-
-
 class TestHarness:
     def test_clean_run(self):
         run = verify_theorems(6)
@@ -378,9 +358,10 @@ class TestHarness:
 
     # Reports when every leaf exchange counts one less than its true l, so
     # that each move that keeps l fails. The counts and digests were taken
-    # from the per-pair reference: _forest_values over _leaf_exchange_arrays
-    # for each checked pair, one less. Equal digests mean the same pairs,
-    # in the same order, with the same descriptions and values.
+    # from the per-pair reference: _forest_values over
+    # reference.leaf_exchange_arrays for each checked pair, one less. Equal
+    # digests mean the same pairs, in the same order, with the same
+    # descriptions and values.
     @pytest.mark.parametrize(
         "all_pairs, count, digest",
         [

@@ -17,7 +17,6 @@ from linforest import (
     l_of_tree,
     leaf_exchange,
     max_linear_forest,
-    max_linear_forest_allpairs,
     max_linear_forest_bf,
     max_linear_forest_value,
     path_graph,
@@ -28,8 +27,9 @@ from linforest import (
     star_graph,
     tree_stats,
 )
-from linforest.forest import _forest_values, _leaf_exchange_arrays, _value_without_leaf
+from linforest.forest import _forest_values, _value_without_leaf
 from linforest.graph import RootedTree
+from reference import leaf_exchange_arrays, max_linear_forest_allpairs
 
 
 class TestDp:
@@ -310,7 +310,7 @@ class TestLeafExchange:
                     moved = _value_without_leaf(parent, ones, lv, a) + 1
                     for b in leaves:
                         if a != b:
-                            exchanged = _leaf_exchange_arrays(parent, order, a, b)
+                            exchanged = leaf_exchange_arrays(parent, order, a, b)
                             assert moved == _forest_values(*exchanged)[0]
                             pairs += 1
                             root_moves += a == n - 1

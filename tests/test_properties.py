@@ -12,7 +12,6 @@ from linforest import (
     leaf_exchange,
     line_graph,
     max_linear_forest,
-    max_linear_forest_allpairs,
     max_linear_forest_bf,
     max_linear_forest_value,
     prufer_decode,
@@ -21,6 +20,7 @@ from linforest import (
     tree_stats,
 )
 from linforest.graph import RootedTree
+from reference import max_linear_forest_allpairs
 
 
 @st.composite
