@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from contextlib import suppress
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import bounds, forest, generate, oracle
 from .graph import (
@@ -48,8 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="generate a tree and write its edge list")
-    gen.add_argument("family", help="path|star|spider|kary|perfect-kary|prufer|random|"
-                     "lower-spider|tstar|t1star|t2star|kary-caterpillar")
+    gen.add_argument("family", help="|".join(_FAMILIES))
     gen.add_argument("params", nargs="*", type=int, help="family parameters")
     gen.add_argument("--seed", type=int, default=None, help="seed for random families")
     gen.add_argument("--out", default=None, help="output file (default stdout)")
@@ -119,85 +118,79 @@ def _write(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-# where a family's parameters hold its vertex count n
-_N_AT = {"path": 0, "star": 0, "random": 0, "kary": 1, "lower-spider": 0, "tstar": 0,
-         "t1star": 0, "t2star": 0, "kary-caterpillar": 0}
+def _nth(i: int) -> Callable[[list[int]], int]:
+    """Parameter i, or 0 while it is missing (the count check reports it)."""
+    return lambda params: params[i] if i < len(params) else 0
 
 
-def _family_vertices(family: str, params: list[int]) -> Optional[int]:
-    """The vertex count ``gen`` would build, from the parameters alone; 0
-    where they do not name one (the builder then says what is wrong). A
-    perfect k-ary tree is summed level by level and gives None once it
-    passes the limit, so no k**h is computed for a huge h."""
-    if family == "spider":
-        return 1 + sum(params)
-    if family == "prufer":
-        return len(params) + 2
-    if family == "perfect-kary" and len(params) == 2:
-        k, h = params
-        if k == 1:
-            return h
-        n, level = 0, 1
-        for _ in range(h if k > 1 else 0):  # k < 1: the builder rejects it
-            n += level
-            if n > MAX_CLI_VERTICES:
-                return None
-            level *= k
-        return n
-    at = _N_AT.get(family)
-    return params[at] if at is not None and at < len(params) else 0
+def _perfect_kary_n(params: list[int]) -> Optional[int]:
+    """Summed level by level, None once past the limit: no k**h for a huge h."""
+    if len(params) != 2:
+        return 0
+    k, h = params
+    if k == 1:
+        return h
+    n, level = 0, 1
+    for _ in range(h if k > 1 else 0):  # k < 1: the builder rejects it
+        n += level
+        if n > MAX_CLI_VERTICES:
+            return None
+        level *= k
+    return n
+
+
+def _spider(params: list[int], seed: Optional[int]) -> Graph:
+    if not params:
+        raise CliError("spider needs at least one leg length")
+    return generate.spider(params)
+
+
+def _kary(params: list[int], seed: int) -> Graph:
+    k, n = params
+    if k < 1:
+        raise CliError("k must be positive")
+    if n < 1 or (n - 1) % k != 0:
+        raise CliError(f"kary needs n = 1 mod {k}")
+    return generate.random_kary_tree(k, (n - 1) // k, seed)
+
+
+# family: (parameter count, None for any; whether it needs --seed; its vertex
+# count from the parameters alone, 0 where they name none, None above the
+# limit; builder(params, seed)). ``gen`` checks the vertex limit, the
+# parameter count and --seed in that order, then the builder checks the rest.
+_FAMILIES = {
+    "path": (1, False, _nth(0), lambda p, seed: generate.path_graph(*p)),
+    "star": (1, False, _nth(0), lambda p, seed: generate.star_graph(*p)),
+    "spider": (None, False, lambda p: 1 + sum(p), _spider),
+    "kary": (2, True, _nth(1), _kary),
+    "perfect-kary": (2, False, _perfect_kary_n, lambda p, seed: generate.perfect_kary(*p)),
+    "prufer": (None, False, lambda p: len(p) + 2, lambda p, seed: generate.prufer_decode(p)),
+    "random": (1, True, _nth(0), lambda p, seed: generate.random_tree(*p, seed)),
+    "lower-spider": (2, False, _nth(0), lambda p, seed: bounds.lower_spider(*p)),
+    "tstar": (2, False, _nth(0), lambda p, seed: bounds.t_star(*p)),
+    "t1star": (2, False, _nth(0), lambda p, seed: bounds.t1_star(*p)),
+    "t2star": (2, False, _nth(0), lambda p, seed: bounds.t2_star(*p)),
+    "kary-caterpillar": (2, False, _nth(0), lambda p, seed: bounds.kary_caterpillar(*p)),
+}
 
 
 def _generate(family: str, params: list[int], seed: Optional[int]) -> Graph:
-    def need(count: int) -> list[int]:
-        if len(params) != count:
-            raise CliError(f"{family} takes {count} parameter(s), got {len(params)}")
-        return params
-
+    if family not in _FAMILIES:
+        raise CliError(f"unknown family {family!r}")
+    count, seeded, vertices, build = _FAMILIES[family]
     try:  # an n too long for str() raises ValueError, which exits 2 too
-        n = _family_vertices(family, params)
+        n = vertices(params)
         if n is None or n > MAX_CLI_VERTICES:
             size = f"n > {MAX_CLI_VERTICES}" if n is None else f"n = {n}"
             raise CliError(f"{family} would build {size} vertices; at most "
                            f"{MAX_CLI_VERTICES} are allowed")
-        if family == "path":
-            return generate.path_graph(*need(1))
-        if family == "star":
-            return generate.star_graph(*need(1))
-        if family == "spider":
-            if not params:
-                raise CliError("spider needs at least one leg length")
-            return generate.spider(params)
-        if family == "kary":
-            k, n = need(2)
-            if seed is None:
-                raise CliError("kary generation needs --seed")
-            if k < 1:
-                raise CliError("k must be positive")
-            if n < 1 or (n - 1) % k != 0:
-                raise CliError(f"kary needs n = 1 mod {k}")
-            return generate.random_kary_tree(k, (n - 1) // k, seed)
-        if family == "perfect-kary":
-            return generate.perfect_kary(*need(2))
-        if family == "prufer":
-            return generate.prufer_decode(params)
-        if family == "random":
-            if seed is None:
-                raise CliError("random generation needs --seed")
-            return generate.random_tree(*need(1), seed)
-        if family == "lower-spider":
-            return bounds.lower_spider(*need(2))
-        if family == "tstar":
-            return bounds.t_star(*need(2))
-        if family == "t1star":
-            return bounds.t1_star(*need(2))
-        if family == "t2star":
-            return bounds.t2_star(*need(2))
-        if family == "kary-caterpillar":
-            return bounds.kary_caterpillar(*need(2))
+        if count is not None and len(params) != count:
+            raise CliError(f"{family} takes {count} parameter(s), got {len(params)}")
+        if seeded and seed is None:
+            raise CliError(f"{family} generation needs --seed")
+        return build(params, seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    raise CliError(f"unknown family {family!r}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -211,14 +204,31 @@ def _fmt_edges(edges: Sequence[tuple[int, int]]) -> str:
     return " ".join(f"{u}-{v}" for u, v in edges) if edges else "(empty)"
 
 
+def _checked_line_graph(g: Graph, q: str, cap: Optional[int]) -> Graph:
+    """L(g), built only once its size passes what ``q`` checks on it. L(g)
+    has g.m vertices and one edge per pair of meeting edges; unless that is
+    g.m - 1 edges, it is no tree and only an oracle can answer."""
+    n = g.m
+    m = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in g.adjacency)
+    if q == "l" and m != n - 1:
+        oracle.check_cap(m, cap, oracle.DEFAULT_EDGE_CAP, "m")
+    elif q == "hc" and m != n - 1:
+        oracle.check_cap(n, cap, oracle.DEFAULT_HC_CAP, "n")
+    elif q == "hc-construct" and m != n - 1 and n >= 3:  # n < 3: its own check first
+        raise NotATree("not a tree: edge count differs from n-1")
+    elif q in ("longest-path", "induced-forest", "decycling"):  # no tree solver
+        oracle.check_cap(n, cap, oracle.DEFAULT_VERTEX_CAP, "n")
+    return line_graph(g).graph
+
+
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     cap = args.cap_oracle
     q = args.quantity
-    if args.of_linegraph and q != "decycling":
-        g = line_graph(g).graph
     lines: list[str] = []
     try:
+        if args.of_linegraph and q != "decycling":
+            g = _checked_line_graph(g, q, cap)
         # l, hc and the dp line of decycling(L) go to the tree solver, whose
         # peel rejects every non-tree; only then does the oracle answer
         if q == "l":
@@ -245,9 +255,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
                 with suppress(NotATree):
                     parts.append(f"{g.n - 1 - forest.l_of_tree(g)} (dp)")
                 try:
-                    # L(T) has one vertex per edge: check the cap before building it
-                    oracle._check_vertex_cap(g.m, cap, oracle.DEFAULT_VERTEX_CAP)
-                    res = oracle.decycling_number(line_graph(g).graph, cap)
+                    res = oracle.decycling_number(_checked_line_graph(g, q, cap), cap)
                     parts.append(f"{res.value} (oracle)")
                 except oracle.CapExceeded:
                     if not parts:

@@ -4,12 +4,13 @@ These solvers are deliberately naive: they enumerate every candidate subset
 and test it against the definition, so they are obviously correct. A vertex
 subset is tested for being a forest by stripping, again and again, its
 vertices with at most one neighbor inside it; it is a forest iff nothing is
-left. Graphs and subsets are integer bitmasks, so a test is a few integer
+left, and a tree iff it is a forest with one edge fewer than vertices.
+Graphs and subsets are integer bitmasks, so a test is a few integer
 operations and builds no objects. The only concession to speed is that
 sizes are tried from the largest plausible bound downward, returning on the
 first hit, which is also what makes the reported witness the
-lexicographically smallest maximizer. Caps guard against accidental
-exponential blowups.
+lexicographically smallest maximizer. Caps, all checked by ``check_cap``,
+guard against accidental exponential blowups.
 
 The kernels (``induced_forest_masks``, ``decycling_masks``,
 ``linear_forest_edges``) read only an adjacency or an edge list, so they
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graph import Edge, Graph, _edges_acyclic
 
@@ -42,10 +43,12 @@ class OracleResult:
     witness: tuple
 
 
-def _check_vertex_cap(n: int, cap: Optional[int], default: int) -> None:
+def check_cap(count: int, cap: Optional[int], default: int, name: str) -> None:
+    """Refuse an instance whose ``count`` (its ``name``, n or m) is above
+    ``cap``, or above ``default`` when cap is None."""
     limit = default if cap is None else cap
-    if n > limit:
-        raise CapExceeded(f"n={n} exceeds cap {limit}")
+    if count > limit:
+        raise CapExceeded(f"{name}={count} exceeds cap {limit}")
 
 
 def adjacency_masks(g: Graph) -> list[int]:
@@ -71,17 +74,31 @@ def _is_forest(adj: Sequence[int], members: Sequence[int], mask: int) -> bool:
     return True
 
 
-def induced_forest_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
-    """Kernel of max_induced_forest on adjacency masks: (size, subset)."""
+def _induces_tree(adj: Sequence[int], subset: Sequence[int], mask: int) -> bool:
+    # a forest with |S|-1 edges has one component
+    return (sum((adj[v] & mask).bit_count() for v in subset) == 2 * (len(subset) - 1)
+            and _is_forest(adj, subset, mask))
+
+
+def _largest_subset(adj: Sequence[int],
+                    accept: Callable[..., bool]) -> tuple[int, tuple[int, ...]]:
+    """The largest non-empty vertex subset that ``accept(adj, subset,
+    mask)`` takes, the lexicographically smallest of that size, as (size,
+    subset); (0, ()) when none is."""
     k = len(adj)
-    for size in range(k, -1, -1):
+    for size in range(k, 0, -1):
         for subset in combinations(range(k), size):
             mask = 0
             for v in subset:
                 mask |= 1 << v
-            if _is_forest(adj, subset, mask):
+            if accept(adj, subset, mask):
                 return size, subset
     return 0, ()
+
+
+def induced_forest_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """Kernel of max_induced_forest on adjacency masks: (size, subset)."""
+    return _largest_subset(adj, _is_forest)
 
 
 def decycling_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -95,44 +112,20 @@ def decycling_masks(adj: Sequence[int]) -> tuple[int, tuple[int, ...]]:
 def max_induced_forest(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest vertex subset inducing an acyclic subgraph (the quantity
     whose complement is the decycling number)."""
-    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
     return OracleResult(*induced_forest_masks(adjacency_masks(g)))
 
 
 def decycling_number(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Minimum vertex set whose removal leaves a forest: n - forest size."""
-    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
     return OracleResult(*decycling_masks(adjacency_masks(g)))
-
-
-def _induces_tree(adj: Sequence[int], subset: tuple[int, ...], mask: int) -> bool:
-    # exactly |S|-1 edges: connected iff acyclic, one search settles both
-    if sum((adj[v] & mask).bit_count() for v in subset) != 2 * (len(subset) - 1):
-        return False
-    seen = 1 << subset[0]
-    stack = [subset[0]]
-    while stack:
-        new = adj[stack.pop()] & mask & ~seen
-        seen |= new
-        while new:
-            low = new & -new
-            stack.append(low.bit_length() - 1)
-            new ^= low
-    return seen == mask
 
 
 def max_induced_tree(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest vertex subset inducing a connected acyclic subgraph."""
-    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
-    adj = adjacency_masks(g)
-    for size in range(g.n, 0, -1):
-        for subset in combinations(range(g.n), size):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            if _induces_tree(adj, subset, mask):
-                return OracleResult(value=size, witness=subset)
-    return OracleResult(value=0, witness=())
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
+    return OracleResult(*_largest_subset(adjacency_masks(g), _induces_tree))
 
 
 def linear_forest_edges(n: int, edges: Sequence[Edge]) -> tuple[int, tuple[int, ...]]:
@@ -162,9 +155,7 @@ def linear_forest_edges(n: int, edges: Sequence[Edge]) -> tuple[int, tuple[int, 
 def max_linear_forest_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
     """Largest edge subset with every degree <= 2 and no cycle, i.e. a
     vertex-disjoint union of paths."""
-    limit = DEFAULT_EDGE_CAP if cap is None else cap
-    if g.m > limit:
-        raise CapExceeded(f"m={g.m} exceeds cap {limit}")
+    check_cap(g.m, cap, DEFAULT_EDGE_CAP, "m")
     size, idxs = linear_forest_edges(g.n, g.edges)
     return OracleResult(value=size, witness=tuple(g.edges[i] for i in idxs))
 
@@ -176,7 +167,7 @@ def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
     start vertices and neighbors are explored in ascending order, with the
     sequence direction normalized.
     """
-    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
     best_len = 0
     best_path: tuple[int, ...] = (0,) if g.n else ()
     visited = bytearray(g.n)
@@ -204,7 +195,7 @@ def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
 def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
     """Hamiltonian-cycle existence by backtracking (n >= 3 required for a
     cycle)."""
-    _check_vertex_cap(g.n, cap, DEFAULT_VERTEX_CAP)
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
     n = g.n
     if n < 3:
         return False
@@ -231,7 +222,7 @@ def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
 def hc_bf(g: Graph, cap: Optional[int] = None) -> int:
     """Minimum number of non-edges whose addition makes g Hamiltonian,
     searched by increasing subset size."""
-    _check_vertex_cap(g.n, cap, DEFAULT_HC_CAP)
+    check_cap(g.n, cap, DEFAULT_HC_CAP, "n")
     n = g.n
     if n < 3:
         raise ValueError("hamiltonian completion needs n >= 3")

@@ -2,7 +2,7 @@ import hashlib
 import io
 import subprocess
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -58,8 +58,7 @@ class TestGen:
 
     def test_vertex_limit_at_the_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 50)
-        assert {family for family, _ in self.AT_50} == set(cli._N_AT) | {
-            "spider", "perfect-kary", "prufer"}
+        assert {family for family, _ in self.AT_50} == set(cli._FAMILIES)
         for family, params in self.AT_50:
             assert main(["gen", family, *params]) == 0, family
             out = capsys.readouterr().out
@@ -83,6 +82,28 @@ class TestGen:
             # a perfect binary tree is summed only until it passes the limit
             expected = "n > 50" if family == "perfect-kary" and params[0] == "2" else "n = 51"
             assert expected in err, family
+
+    def test_outputs_pinned(self, capsys, monkeypatch):
+        """Every family and an unknown name, with 0 to 2 parameters from
+        {-1, 0, 2, 51}, with and without --seed, under a limit of 50
+        vertices: one SHA-256 over (argv, exit code, stdout, stderr) of
+        every run pins each output and which check fails first."""
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 50)
+        digest = hashlib.sha256()
+        runs = 0
+        for family in [*cli._FAMILIES, "nosuch"]:
+            for length in range(3):
+                for params in product(["-1", "0", "2", "51"], repeat=length):
+                    for seed in ([], ["--seed", "1"]):
+                        argv = ["gen", family, *params, *seed]
+                        code = main(argv)
+                        out, err = capsys.readouterr()
+                        digest.update(repr((argv, code, out, err)).encode())
+                        runs += 1
+        assert runs == 13 * 21 * 2
+        assert digest.hexdigest() == (
+            "6c7f3801524a907d69693bdeee8f699d8b45974412279f4910139cd07e9da355"
+        )
 
     def test_seed_reproducible(self, tmp_path):
         a = tmp_path / "a.txt"
@@ -202,6 +223,62 @@ class TestCompute:
         assert digest.hexdigest() == (
             "d67d22d927f8a8695fc24552bef3b6e9428faee8dca3beeabd0a56858081a1b7"
         )
+
+    @pytest.mark.parametrize("args, expected", [
+        (["hc-construct"], "835ed2cfbf4af579aefd08d70b706b521e9d7e55343d11430f19363d90fce4de"),
+        (["decycling"], "d7c7b46ad5812d8273965feed37d6f2f4f1ae4a4cecb3c5d9c5ed13c79527a13"),
+        (["longest-path"], "28d5f5d80a5e774ea9b7e1bd28782ebbc3babbed03101e65c44fa9f77f0fd060"),
+        (["induced-forest"], "14775fc62e6d4fa66902545107ebebcacfe24e53552d7bc3160aca04312937b8"),
+        (["hc-construct", "--of-linegraph"],
+         "c017b1fe5b91f6c892ab46b9ecebcab3461ee75e4f097d6db3134168e0962e0b"),
+        (["longest-path", "--of-linegraph"],
+         "80639575132632d1cd4fe20726217fddbb026e78f07ae1bedb12d41e09bde582"),
+        (["induced-forest", "--of-linegraph"],
+         "2fae511265294c1d7e5d19ff282283151511307c5124c672a4b5980de2d99a29"),
+    ], ids=["hc-construct", "decycling", "longest-path", "induced-forest",
+            "hc-construct-L", "longest-path-L", "induced-forest-L"])
+    def test_other_outputs_pinned(self, capsys, monkeypatch, args, expected):
+        """The quantities and flags that test_tree_or_oracle_outputs_pinned
+        leaves out, on the same 286 graphs, hashed the same way."""
+        graphs = []
+        for n in range(5):
+            pairs = list(combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                graphs.append(Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+        graphs.extend(Graph(5, edges) for edges in combinations(combinations(range(5), 2), 4))
+        argv = ["compute", args[0], "-", *args[1:]]
+        digest = hashlib.sha256()
+        for g in graphs:
+            text = format_graph(g)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            code = main(argv)
+            out, err = capsys.readouterr()
+            digest.update(repr((argv, text, code, out, err)).encode())
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("quantity, message", [
+        ("l", "m=406 exceeds cap 24"), ("hc", "n=29 exceeds cap 9"),
+        ("hc-construct", "not a tree: edge count differs from n-1"),
+        ("longest-path", "n=29 exceeds cap 20"), ("induced-forest", "n=29 exceeds cap 20")])
+    def test_of_linegraph_refused_before_building(self, tmp_path, capsys, monkeypatch,
+                                                  quantity, message):
+        """L(star 30) has 29 vertices and 406 edges, so it is no tree: each
+        quantity refuses it from the degrees alone."""
+        def refuse(g):
+            raise AssertionError("line graph built although the answer is a refusal")
+
+        monkeypatch.setattr(cli, "line_graph", refuse)
+        path = write_graph(tmp_path, star_graph(30))
+        assert main(["compute", quantity, path, "--of-linegraph"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_of_linegraph_built_when_it_may_be_a_tree(self, tmp_path, capsys):
+        """L(P25) = P24 has one edge fewer than vertices, so it is built and
+        the tree solver answers, whatever the oracle's cap."""
+        path = write_graph(tmp_path, path_graph(25))
+        for cap in ([], ["--cap-oracle", "0"]):
+            assert main(["compute", "l", path, "--of-linegraph", *cap]) == 0
+            assert capsys.readouterr().out.startswith("l=23 witness=")
 
     def test_trees_answered_without_is_tree(self, tmp_path, capsys, monkeypatch):
         """The solver's own peel is the tree test: no command calls
