@@ -174,12 +174,8 @@ def _t_star_parts(
     as fit, and a remainder placed so the bound analysis stays tight.
 
     Returns (edges, critical leg ends, arm ends of the first full Y-branch
-    or None).
+    or None). The callers check r >= 2 and n >= 2r + 1.
     """
-    if r < 2:
-        raise ValueError(f"need diameter >= 4, got {2 * r}")
-    if n < 2 * r + 1:
-        raise ValueError(f"need n >= {2 * r + 1} for diameter {2 * r}, got {n}")
     rem = n - 2 * r - 1
     branch = 2 * r - 1
     q, m = divmod(rem, branch)
@@ -212,8 +208,9 @@ def _t_star_parts(
 def t_star(n: int, d: int) -> Graph:
     """Extremal tree achieving the even-diameter upper bound
     floor(((d-2)n + 2)/(d-1))."""
+    _diameter_domain(n, d)
     if d % 2 != 0:
-        raise ValueError(f"t_star needs even diameter, got {d}")
+        raise ValueError(f"tstar needs an even diameter, got {d}")
     edges, _, _ = _t_star_parts(n, d // 2)
     return Graph(n, edges, validate=False)
 
@@ -222,10 +219,9 @@ def t1_star(n: int, d: int) -> Graph:
     """Odd-diameter extremal tree: the even-diameter tree on n-1 vertices
     with one critical leg deepened by one leaf. Achieves
     floor(((d-3)n + 3)/(d-2)), the best possible when n <= 2d-1."""
+    _diameter_domain(n, d)
     if d % 2 != 1:
-        raise ValueError(f"t1_star needs odd diameter, got {d}")
-    if n < d + 1:
-        raise ValueError(f"need n >= d+1 = {d + 1}, got {n}")
+        raise ValueError(f"t1star needs an odd diameter, got {d}")
     r = (d - 1) // 2
     edges, (leg1, _), _ = _t_star_parts(n - 1, r)
     edges.append((leg1, n - 1))
@@ -237,14 +233,14 @@ def t2_star(n: int, d: int) -> Graph:
     on n-2 vertices with both arms of one Y-branch deepened by one leaf, so
     the two depth-(r+1) leaves share a depth-1 subtree and the diameter
     stays d. Achieves floor(((d-3)n + 4)/(d-2))."""
+    _diameter_domain(n, d)
     if d % 2 != 1:
-        raise ValueError(f"t2_star needs odd diameter, got {d}")
-    r = (d - 1) // 2
-    if n < 4 * r + 2:
-        raise ValueError(f"t2_star needs n >= {4 * r + 2}, got {n}")
-    edges, _, first_y = _t_star_parts(n - 2, r)
-    if first_y is None:
-        raise ValueError(f"t2_star needs a full Y-branch; n={n} too small")
+        raise ValueError(f"t2star needs an odd diameter, got {d}")
+    if n < 2 * d:
+        raise ValueError(f"t2star needs n >= 2d = {2 * d}, got {n}")
+    # n - 2 >= 4r vertices leave 2r - 1 after the root and the two legs:
+    # one full Y-branch at least
+    edges, _, first_y = _t_star_parts(n - 2, (d - 1) // 2)
     a1, a2 = first_y
     edges.append((a1, n - 2))
     edges.append((a2, n - 1))

@@ -150,7 +150,7 @@ def _kary(params: list[int], seed: int) -> Graph:
     if k < 1:
         raise CliError("k must be positive")
     if n < 1 or (n - 1) % k != 0:
-        raise CliError(f"kary needs n = 1 mod {k}")
+        raise CliError(f"kary needs n >= 1 and n = 1 mod {k}, got n={n}")
     return generate.random_kary_tree(k, (n - 1) // k, seed)
 
 

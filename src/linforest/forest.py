@@ -150,17 +150,17 @@ def _reconstruct(
 ) -> tuple[LinearForest, LinearForest]:
     """Both forests from the choice arrays: ``single`` is the child a vertex
     joins when it may take one edge, (pair_a, pair_b) when two; -1 marks
-    an unused slot. One walk down marks the children joined to their
-    parents for the free root; a joined vertex may take only one more edge,
-    so the mark also limits it. The constrained forest caps the root at one
-    edge, which flips only the marks below it that change their parent's
-    decision, so only those are re-decided. An edge is in a forest iff its
-    child end is marked. max_linear_forest passes (top, top, second); the
-    quadratic reference solver in ``tests/reference.py`` passes its own
-    three arrays."""
+    an unused slot. One walk down, over the order reversed, marks the
+    children joined to their parents for the free root; a joined vertex
+    may take only one more edge, so the mark also limits it. The
+    constrained forest caps the root at one edge, which flips only the
+    marks below it that change their parent's decision, so only those are
+    re-decided. An edge is in a forest iff its child end is marked.
+    max_linear_forest passes (top, top, second); the quadratic reference
+    solver in ``tests/reference.py`` passes its own three arrays."""
     parent = t.parent
     joined = bytearray(t.n + 1)  # joined[-1] absorbs the unused slots
-    for v in t.order:
+    for v in reversed(t.order):
         if joined[v]:
             joined[single[v]] = 1
         else:
@@ -191,14 +191,14 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
     number of incident edges the optimum allows, preferring children with
     smaller ids.
     """
-    _, top, second, _ = _forest_values(t.parent, reversed(t.order), choices=True)
+    _, top, second, _ = _forest_values(t.parent, t.order, choices=True)
     best, best_constrained = _reconstruct(t, top, top, second)
     return DpRecord(best=best, best_constrained=best_constrained)
 
 
 def max_linear_forest_value(t: RootedTree) -> int:
     """Size-only variant of max_linear_forest, skipping reconstruction."""
-    return _forest_values(t.parent, reversed(t.order))[0]
+    return _forest_values(t.parent, t.order)[0]
 
 
 def l_of_tree(g: Graph) -> int:

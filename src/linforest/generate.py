@@ -130,8 +130,8 @@ def prufer_arrays(seq: Sequence[int], n: int) -> TreeArrays:
     """Smallest-leaf decoding of a valid Prüfer sequence straight into arrays.
 
     Returns (parent, order, degree): parent pointers of the tree rooted at
-    n-1 (None at the root, as in RootedTree), every vertex listed children
-    first with the root last, and the vertex degrees. A vertex is removed
+    n-1 (None at the root) and every vertex listed children first with the
+    root last, as in RootedTree, and the vertex degrees. A vertex is removed
     only once it is a leaf, so the removal order is already children first;
     a smallest-leaf pointer that only moves up keeps the decode linear.
     """

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -19,9 +19,9 @@ class ParseError(ValueError):
 
 
 class NotATree(ValueError):
-    """Raised by the leaf peel, ``RootedTree`` and ``prufer_encode`` for a
-    graph that is not a tree. Every tree solver runs one of them first, so a
-    caller can try a solver and fall back to an oracle on this error."""
+    """Raised by the leaf peel, which ``RootedTree`` and ``prufer_encode``
+    run, for a graph that is not a tree. Every tree solver runs the peel
+    first, so a caller can try a solver and fall back to an oracle."""
 
 
 Edge = tuple[int, int]
@@ -274,38 +274,20 @@ def _edges_acyclic(n: int, edges: Iterable[Edge]) -> bool:
 
 
 class RootedTree:
-    """A tree with a designated root and parent pointers.
-
-    ``order`` lists vertices in BFS order from the root, so iterating it in
-    reverse visits children before parents; siblings are contiguous and in
-    increasing id.
-    """
+    """A tree with a designated root and parent pointers: the leaf peel
+    held at the root, so ``order`` lists children before parents with the
+    root last, as ``prufer_arrays`` does."""
 
     __slots__ = ("graph", "root", "parent", "order")
 
     def __init__(self, graph: Graph, root: int):
-        n = graph.n
-        if not (0 <= root < n):
-            raise ValueError(f"root {root} out of range")
-        if graph.m != n - 1:
-            raise NotATree("not a tree: edge count differs from n-1")
-        adjacency = graph.adjacency
-        parent: list[Optional[int]] = [None] * n
-        order = [root]
-        # the order list is the BFS queue: it grows while it is walked. With
-        # n-1 edges a cycle means a second component; the walk would circle
-        # it for ever, so it stops after n vertices, with the order too long.
-        for u in islice(order, n):
-            nbrs = adjacency[u]
-            if len(nbrs) == 1 and u != root:
-                continue  # a leaf's one neighbor is its parent
-            p = parent[u]
-            for w in nbrs:
-                if w != p:
-                    parent[w] = u
-                    order.append(w)
-        if len(order) != n:
-            raise NotATree("not a tree: graph is disconnected")
+        try:
+            parent, order, _, _ = leaf_peel(graph, root)
+        except NotATree:
+            if graph.m != graph.n - 1:
+                raise
+            # n-1 edges and a cycle: a second component
+            raise NotATree("not a tree: graph is disconnected") from None
         self.graph = graph
         self.root = root
         self.parent = tuple(parent)
@@ -319,7 +301,9 @@ class RootedTree:
         return f"RootedTree(n={self.n}, root={self.root})"
 
 
-def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int, int]:
+def leaf_peel(
+    g: Graph, root: Optional[int] = None
+) -> tuple[list[Optional[int]], list[int], int, int]:
     """Strip leaves of a tree in FIFO order until no vertex is left.
 
     Returns (parent, order, last, layers): each vertex's parent is its one
@@ -328,12 +312,20 @@ def leaf_peel(g: Graph) -> tuple[list[Optional[int]], list[int], int, int]:
     ``order[last:]`` is the last layer stripped, which is the center, and
     ``layers`` counts the layers stripped. Linear time. Raises NotATree
     for every graph that is not a tree.
+
+    A given ``root`` starts with its degree one higher, so it is queued
+    only when no other vertex is left and comes last; ``last`` and
+    ``layers`` then no longer describe the center.
     """
     n = g.n
     if g.m != n - 1:
         raise NotATree("not a tree: edge count differs from n-1")
     adjacency = g.adjacency
     deg = [len(nbrs) for nbrs in adjacency]  # zeroed once stripped
+    if root is not None:
+        if not 0 <= root < n:
+            raise ValueError(f"root {root} out of range")
+        deg[root] += 1
     parent: list[Optional[int]] = [None] * n
     order = [v for v in range(n) if deg[v] <= 1]
     i = last = 0

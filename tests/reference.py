@@ -18,10 +18,11 @@ from linforest.graph import Graph, RootedTree, _edges_acyclic
 
 
 def depth(t: RootedTree) -> tuple[int, ...]:
-    """Each vertex's distance from the root, read off the BFS order."""
+    """Each vertex's distance from the root, walking the order reversed so
+    each parent's depth is known before its children's."""
     parent = t.parent
     depths = [0] * t.n
-    for v in t.order[1:]:
+    for v in reversed(t.order[:-1]):  # the root is last
         depths[v] = depths[parent[v]] + 1
     return tuple(depths)
 
@@ -30,9 +31,9 @@ def children(t: RootedTree) -> tuple[tuple[int, ...], ...]:
     """Each vertex's children, in increasing id."""
     parent = t.parent
     kids: list[list[int]] = [[] for _ in range(t.n)]
-    for v in t.order[1:]:  # BFS order keeps siblings increasing
+    for v in t.order[:-1]:  # the root is last
         kids[parent[v]].append(v)
-    return tuple(map(tuple, kids))
+    return tuple(tuple(sorted(c)) for c in kids)
 
 
 def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
@@ -48,7 +49,7 @@ def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
     single = [-1] * n
     pair_a = [-1] * n
     pair_b = [-1] * n
-    for v in reversed(t.order):
+    for v in t.order:
         kids = kids_of[v]
         if not kids:
             continue

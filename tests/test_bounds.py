@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import fields
 from fractions import Fraction
 
@@ -201,6 +202,20 @@ class TestConstructions:
     def test_t2_star_needs_branch(self):
         with pytest.raises(ValueError):
             t2_star(9, 5)
+
+    @pytest.mark.parametrize("build, n, d, message", [
+        (t_star, 8, 5, "tstar needs an even diameter, got 5"),
+        (t1_star, 8, 4, "t1star needs an odd diameter, got 4"),
+        (t2_star, 9, 5, "t2star needs n >= 2d = 10, got 9"),
+        (t1_star, 10, 3, "diameter bounds need d >= 4, got 3"),
+        (t1_star, -1, -1, "diameter bounds need d >= 4, got -1"),
+        (t2_star, 7, 7, "a tree with diameter 7 needs at least 8 vertices"),
+    ])
+    def test_extremal_messages(self, build, n, d, message):
+        # the diameter domain first, then parity, then t2star's n >= 2d;
+        # the messages name the gen family, not the builder
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(n, d)
 
     def test_infeasible_params(self):
         with pytest.raises(ValueError):

@@ -42,6 +42,11 @@ class TestGen:
         assert main(["gen", "kary", k, "5", "--seed", "1"]) == 2
         assert "k must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k, n", [("1", "0"), ("2", "-1"), ("3", "5")])
+    def test_kary_message_names_both_conditions(self, capsys, k, n):
+        assert main(["gen", "kary", k, n, "--seed", "1"]) == 2
+        assert capsys.readouterr().err == f"error: kary needs n >= 1 and n = 1 mod {k}, got n={n}\n"
+
     # (family, parameters) building exactly 50 vertices, and 51 or more
     AT_50 = [("path", ["50"]), ("star", ["50"]), ("spider", ["20", "29"]),
              ("kary", ["7", "50", "--seed", "1"]), ("perfect-kary", ["1", "50"]),
@@ -102,7 +107,7 @@ class TestGen:
                         runs += 1
         assert runs == 13 * 21 * 2
         assert digest.hexdigest() == (
-            "6c7f3801524a907d69693bdeee8f699d8b45974412279f4910139cd07e9da355"
+            "f81e66621441a37cb60fb3a8c0efb37493ce4486c6285a33d27e07e99b8b7937"
         )
 
     def test_seed_reproducible(self, tmp_path):

@@ -25,6 +25,8 @@ from linforest import (
     root_at_center,
     spider,
     star_graph,
+    t2_star,
+    t_star,
     tree_stats,
 )
 from linforest.forest import _forest_values, _value_without_leaf
@@ -103,7 +105,7 @@ class TestGainsAndReconstruction:
                     t = RootedTree(g, root)
                     rec = max_linear_forest_allpairs(t)
                     assert rec.value - rec.value_constrained in (0, 1)
-                    assert rec.value == _forest_values(t.parent, reversed(t.order))[0]
+                    assert rec.value == _forest_values(t.parent, t.order)[0]
 
     def test_both_forests_of_both_solvers(self):
         # sizes by brute force: with a new leaf hung at the root, the best
@@ -256,6 +258,21 @@ class TestHcConstruct:
     def test_rejects_small(self):
         with pytest.raises(ValueError):
             hc_construct(path_graph(2))
+
+
+def test_witnesses_pinned_at_scale():
+    """Both forests at the center root and the completion, on deterministic
+    trees of 10^4 to 10^5 vertices: a one-vertex center, a two-vertex
+    center (the smaller-id tie-break), a perfect 3-ary tree and a spider."""
+    digest = hashlib.sha256()
+    for g in (t_star(10**5, 8), t2_star(10**5, 9), perfect_kary(3, 10), spider([1000] * 100)):
+        rec = max_linear_forest(root_at_center(g))
+        comp = hc_construct(g)
+        digest.update(repr((g.n, rec.best.edges, rec.best_constrained.edges,
+                            comp.added_edges, comp.cycle)).encode())
+    assert digest.hexdigest() == (
+        "8ab2e1b4bd74a21c028bad6023244687f03d8019527f5aa5682dbcd86fd8a4ce"
+    )
 
 
 class TestLeafExchange:
