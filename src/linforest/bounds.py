@@ -7,6 +7,7 @@ where a bound is a true rational. No floating point.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Iterable, Optional
@@ -374,23 +375,24 @@ class VerifyRun:
 
 # The sweep's checks. Each takes one decoded tree (n, the parent and degree
 # arrays, the edge list, and from the one _forest_values pass l, the
-# diameter d and the gain counts ``ones``) and the upper-bound slack, and
-# returns whether the tree saturates the check's bound and the check's
-# failures, each (description suffix, d, value, lower, upper).
+# diameter d and the gain counts ``ones``), the upper-bound slack and the
+# brute-force answers for the tree's shape (see _sweep_range), and returns
+# whether the tree saturates the check's bound and the check's failures,
+# each (description suffix, d, value, lower, upper).
 
-def _check_dp_oracle(n, parent, degree, edges, lv, d, ones, slack):
+def _check_dp_oracle(n, parent, degree, edges, lv, d, ones, slack, oracle):
     """l equals the brute-force maximum linear forest."""
-    bf = linear_forest_edges(n, edges)[0]
+    bf = oracle[0]
     return False, (() if bf == lv else (("", None, lv, bf, bf),))
 
 
-def _check_diameter(n, parent, degree, edges, lv, d, ones, slack):
+def _check_diameter(n, parent, degree, edges, lv, d, ones, slack, oracle):
     """d <= l <= the diameter upper bound."""
     upper = diam_upper_l_fine(n, d) - slack
     return lv == upper, (() if d <= lv <= upper else (("", d, lv, d, upper),))
 
 
-def _check_hc_bounds(n, parent, degree, edges, lv, d, ones, slack):
+def _check_hc_bounds(n, parent, degree, edges, lv, d, ones, slack, oracle):
     """hc = n - l lies between the completion bounds."""
     out, excess = hc_bound_counts(degree, edges)
     hc = n - lv
@@ -399,7 +401,7 @@ def _check_hc_bounds(n, parent, degree, edges, lv, d, ones, slack):
     return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
 
 
-def _check_leaf_exchange(n, parent, degree, edges, lv, d, ones, slack):
+def _check_leaf_exchange(n, parent, degree, edges, lv, d, ones, slack, oracle):
     """No leaf exchange lowers l. Moving leaf u onto any other leaf w gives
     l(T - u) + 1, so one walk per leaf decides every pair it starts; a
     failing leaf fails with every w."""
@@ -412,10 +414,10 @@ def _check_leaf_exchange(n, parent, degree, edges, lv, d, ones, slack):
     return False, failures
 
 
-def _check_decycling(n, parent, degree, edges, lv, d, ones, slack):
+def _check_decycling(n, parent, degree, edges, lv, d, ones, slack, oracle):
     """The decycling number of L(T) is n - 1 - l and, for d >= 4, lies
     between the diameter bounds."""
-    nabla = decycling_masks(line_graph_masks(n, edges))[0]
+    nabla = oracle[1]
     if nabla != n - 1 - lv:
         return False, (("", d, nabla, None, None),)
     if d < 4:
@@ -445,6 +447,13 @@ def _sweep_range(
     and the gain counts, and every check in scope reads them. Scope by n
     is decided once for the range, scope by diameter per tree; a check in
     scope for the range checks every tree it does not skip.
+
+    The brute-force oracles run once per shape, not once per tree. The
+    shape renames each vertex to its position in ``order``, so edge i of
+    ``edges`` becomes (i, shape[i]): the same edge list up to a bijection
+    of the vertices, with every edge index kept, which gives the same
+    oracle values. Children come before parents, so there are (n-1)! shapes
+    against n^(n-2) trees.
     """
     n, start, stop, cfg = args
     slack = cfg.upper_slack
@@ -455,16 +464,32 @@ def _sweep_range(
             active.append((name, counts[name], min_d, check))
         else:
             counts[name].skipped = stop - start
+    with_oracle = n <= SweepConfig.dp_oracle_max_n
+    with_decycling = n <= SweepConfig.decycling_max_n
+    answers: dict[tuple[int, ...], tuple[int, Optional[int]]] = {}
+    oracle = None
+    pos = [0] * n
     violations: list[BoundReport] = []
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
         ones = [0] * n
         lv, _, _, d = _forest_values(parent, order, diameter=True, ones=ones)
         edges = [(v, parent[v]) for v in order[:-1]]
+        if with_oracle:
+            for i, v in enumerate(order):
+                pos[v] = i
+            shape = tuple([pos[parent[v]] for v in order[:-1]])
+            oracle = answers.get(shape)
+            if oracle is None:
+                rel = list(enumerate(shape))
+                oracle = answers[shape] = (
+                    linear_forest_edges(n, rel)[0],
+                    decycling_masks(line_graph_masks(n, rel))[0] if with_decycling else None,
+                )
         for name, c, min_d, check in active:
             if d < min_d:
                 c.skipped += 1
                 continue
-            saturated, failures = check(n, parent, degree, edges, lv, d, ones, slack)
+            saturated, failures = check(n, parent, degree, edges, lv, d, ones, slack, oracle)
             if saturated:
                 c.saturated += 1
             if failures:
@@ -495,8 +520,9 @@ def verify_theorems(
 
     The Prüfer rank space is range-partitioned across worker processes;
     results merge in rank order, so the outcome is independent of the
-    process count. Violations are returned as data, never raised; a range
-    with no tree in it (n_max < n_min) raises ValueError.
+    process count. At most ``os.cpu_count()`` workers start, whatever
+    ``processes`` asks for. Violations are returned as data, never raised;
+    a range with no tree in it (n_max < n_min) raises ValueError.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n=2")
@@ -504,6 +530,7 @@ def verify_theorems(
         raise ValueError(f"n_max={n_max} exceeds enumeration cap {ENUMERATION_CAP}")
     if n_max < n_min:
         raise ValueError(f"n_max={n_max} is below n_min={n_min}: no tree to check")
+    processes = min(processes, os.cpu_count() or 1)
     counts = {check: CheckCounts() for check in CHECKS}
     violations: list[BoundReport] = []
     trees = 0

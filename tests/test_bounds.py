@@ -1,4 +1,6 @@
+import concurrent.futures
 import hashlib
+import os
 import re
 from dataclasses import fields
 from fractions import Fraction
@@ -315,6 +317,33 @@ class TestHarness:
         assert parallel.trees == serial.trees
         for check in serial.counts:
             assert vars(parallel.counts[check]) == vars(serial.counts[check])
+
+    @pytest.mark.parametrize(
+        "processes, cpus, workers",
+        [(100000, 2, [2]), (3, 4, [3]), (2, 1, []), (5, None, [])],
+    )
+    def test_workers_capped_at_cpu_count(self, monkeypatch, processes, cpus, workers):
+        # no process starts: the pool is a stand-in that maps in this one
+        started = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run = verify_theorems(5, SweepConfig(upper_slack=1), processes=processes)
+        assert started == workers
+        assert run == verify_theorems(5, SweepConfig(upper_slack=1))
 
     def test_rejects_over_cap(self):
         with pytest.raises(ValueError, match="cap"):

@@ -11,6 +11,7 @@ import tracemalloc
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
+from math import factorial
 
 from linforest import (
     Graph,
@@ -30,6 +31,7 @@ from linforest import (
 )
 from linforest import bounds
 from linforest.graph import line_graph_masks
+from linforest.oracle import linear_forest_edges
 
 VERTEX_ORACLES = {
     "max_induced_forest": max_induced_forest,
@@ -179,27 +181,59 @@ def test_is_linear_forest_on_every_edge_subset():
 SWEEP_KERNELS = ("linear_forest_edges", "line_graph_masks", "decycling_masks")
 
 
-def test_sweep_runs_both_oracles_on_every_tree(monkeypatch):
-    calls = Counter()
+def position_edges(parent, order) -> list[tuple[int, int]]:
+    """The tree with each vertex renamed to its position in ``order``:
+    edge i, (order[i], its parent), becomes (i, the parent's position)."""
+    pos = {v: i for i, v in enumerate(order)}
+    return [(i, pos[parent[v]]) for i, v in enumerate(order[:-1])]
 
-    def counting(name, kernel):
+
+def test_renamed_tree_has_the_same_oracle_answers():
+    # the sweep asks the oracles about the renamed edge list: the same
+    # value and witness indices, and the same line graph, edge by edge
+    trees = 0
+    for n in range(1, 8):
+        for parent, order, _ in enumerate_tree_arrays(n):
+            edges = [(v, parent[v]) for v in order[:-1]]
+            rel = position_edges(parent, order)
+            assert linear_forest_edges(n, edges) == linear_forest_edges(n, rel)
+            assert line_graph_masks(n, edges) == line_graph_masks(n, rel)
+            trees += 1
+    assert trees == len(all_trees())
+
+
+def test_sweep_runs_both_oracles_on_every_tree(monkeypatch):
+    # every tree is answered through its renamed edge list, and each
+    # distinct one is asked once
+    inputs = {name: [] for name in SWEEP_KERNELS}
+
+    def recording(name, kernel):
         def wrapper(*args):
-            calls[name] += 1
+            inputs[name].append(tuple(tuple(a) if isinstance(a, list) else a for a in args))
             return kernel(*args)
 
         return wrapper
 
     for name in SWEEP_KERNELS:
-        monkeypatch.setattr(bounds, name, counting(name, getattr(bounds, name)))
+        monkeypatch.setattr(bounds, name, recording(name, getattr(bounds, name)))
     cfg = SweepConfig(leaf_exchange_all_pairs=True)
     run = verify_theorems(7, cfg)
     assert run.ok and run.trees == 18248
-    decycling_scope = sum(num_labeled_trees(n) for n in range(2, min(7, cfg.decycling_max_n) + 1))
-    assert calls == {
-        "linear_forest_edges": 18248,
-        "line_graph_masks": decycling_scope,
-        "decycling_masks": decycling_scope,
+    # every tree's renamed edge list, as the test derives it; children
+    # come before parents, so there are (n-1)! of them at each n
+    shapes = {
+        (n, tuple(position_edges(parent, order)))
+        for n in range(2, 8)
+        for parent, order, _ in enumerate_tree_arrays(n)
     }
+    assert len(shapes) == sum(factorial(n - 1) for n in range(2, 8)) == 873
+    assert 7 <= cfg.decycling_max_n
+    assert Counter(inputs["linear_forest_edges"]) == Counter(shapes)
+    assert Counter(inputs["line_graph_masks"]) == Counter(shapes)
+    # distinct shapes can share a line graph: one decycling call per shape
+    assert Counter(inputs["decycling_masks"]) == Counter(
+        (tuple(line_graph_masks(n, rel)),) for n, rel in shapes
+    )
 
 
 def test_sweep_builds_no_graph(monkeypatch):
