@@ -374,34 +374,34 @@ class VerifyRun:
 
 
 # The sweep's checks. Each takes one decoded tree (n, the parent and degree
-# arrays, the edge list, and from the one _forest_values pass l, the
-# diameter d and the gain counts ``ones``), the upper-bound slack and the
-# brute-force answers for the tree's shape (see _sweep_range), and returns
-# whether the tree saturates the check's bound and the check's failures,
-# each (description suffix, d, value, lower, upper).
+# arrays, and from the one _forest_values pass l, the diameter d and the
+# gain counts ``ones``), the upper-bound slack and the brute-force answers
+# for the tree's shape (see _sweep_range), and returns whether the tree
+# saturates the check's bound and the check's failures, each (description
+# suffix, d, value, lower, upper).
 
-def _check_dp_oracle(n, parent, degree, edges, lv, d, ones, slack, oracle):
+def _check_dp_oracle(n, parent, degree, lv, d, ones, slack, oracle):
     """l equals the brute-force maximum linear forest."""
     bf = oracle[0]
     return False, (() if bf == lv else (("", None, lv, bf, bf),))
 
 
-def _check_diameter(n, parent, degree, edges, lv, d, ones, slack, oracle):
+def _check_diameter(n, parent, degree, lv, d, ones, slack, oracle):
     """d <= l <= the diameter upper bound."""
     upper = diam_upper_l_fine(n, d) - slack
     return lv == upper, (() if d <= lv <= upper else (("", d, lv, d, upper),))
 
 
-def _check_hc_bounds(n, parent, degree, edges, lv, d, ones, slack, oracle):
+def _check_hc_bounds(n, parent, degree, lv, d, ones, slack, oracle):
     """hc = n - l lies between the completion bounds."""
-    out, excess = hc_bound_counts(degree, edges)
+    out, excess = hc_bound_counts(degree, parent)
     hc = n - lv
     lower = _hc_lower(out, sum(excess))
     upper = out - 1 - slack
     return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
 
 
-def _check_leaf_exchange(n, parent, degree, edges, lv, d, ones, slack, oracle):
+def _check_leaf_exchange(n, parent, degree, lv, d, ones, slack, oracle):
     """No leaf exchange lowers l. Moving leaf u onto any other leaf w gives
     l(T - u) + 1, so one walk per leaf decides every pair it starts; a
     failing leaf fails with every w."""
@@ -414,7 +414,7 @@ def _check_leaf_exchange(n, parent, degree, edges, lv, d, ones, slack, oracle):
     return False, failures
 
 
-def _check_decycling(n, parent, degree, edges, lv, d, ones, slack, oracle):
+def _check_decycling(n, parent, degree, lv, d, ones, slack, oracle):
     """The decycling number of L(T) is n - 1 - l and, for d >= 4, lies
     between the diameter bounds."""
     nabla = oracle[1]
@@ -449,11 +449,11 @@ def _sweep_range(
     scope for the range checks every tree it does not skip.
 
     The brute-force oracles run once per shape, not once per tree. The
-    shape renames each vertex to its position in ``order``, so edge i of
-    ``edges`` becomes (i, shape[i]): the same edge list up to a bijection
-    of the vertices, with every edge index kept, which gives the same
-    oracle values. Children come before parents, so there are (n-1)! shapes
-    against n^(n-2) trees.
+    shape renames each vertex to its position in ``order``, so the edge
+    (order[i], parent[order[i]]) becomes (i, shape[i]): the same edges up
+    to a bijection of the vertices, in the same order, which gives the
+    same oracle values. Children come before parents, so there are (n-1)!
+    shapes against n^(n-2) trees.
     """
     n, start, stop, cfg = args
     slack = cfg.upper_slack
@@ -471,9 +471,7 @@ def _sweep_range(
     pos = [0] * n
     violations: list[BoundReport] = []
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
-        ones = [0] * n
-        lv, _, _, d = _forest_values(parent, order, diameter=True, ones=ones)
-        edges = [(v, parent[v]) for v in order[:-1]]
+        lv, ones, _, _, d = _forest_values(parent, order, diameter=True)
         if with_oracle:
             for i, v in enumerate(order):
                 pos[v] = i
@@ -489,7 +487,7 @@ def _sweep_range(
             if d < min_d:
                 c.skipped += 1
                 continue
-            saturated, failures = check(n, parent, degree, edges, lv, d, ones, slack, oracle)
+            saturated, failures = check(n, parent, degree, lv, d, ones, slack, oracle)
             if saturated:
                 c.saturated += 1
             if failures:

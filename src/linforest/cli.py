@@ -204,9 +204,10 @@ def _fmt_edges(edges: Sequence[tuple[int, int]]) -> str:
     return " ".join(f"{u}-{v}" for u, v in edges) if edges else "(empty)"
 
 
-def _checked_line_graph(g: Graph, q: str, cap: Optional[int]) -> Graph:
-    """L(g), built only once its size passes what ``q`` checks on it. L(g)
-    has g.m vertices and one edge per pair of meeting edges; unless that is
+def _checked_line_graph(g: Graph, q: Optional[str], cap: Optional[int]) -> Graph:
+    """L(g), built only once its size passes what ``q`` checks on it (None:
+    nothing) and neither of its counts exceeds MAX_CLI_VERTICES. L(g) has
+    g.m vertices and one edge per pair of meeting edges; unless that is
     g.m - 1 edges, it is no tree and only an oracle can answer."""
     n = g.m
     m = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in g.adjacency)
@@ -218,6 +219,10 @@ def _checked_line_graph(g: Graph, q: str, cap: Optional[int]) -> Graph:
         raise NotATree("not a tree: edge count differs from n-1")
     elif q in ("longest-path", "induced-forest", "decycling"):  # no tree solver
         oracle.check_cap(n, cap, oracle.DEFAULT_VERTEX_CAP, "n")
+    for count, what in ((n, "vertices"), (m, "edges")):
+        if count > MAX_CLI_VERTICES:
+            raise oracle.CapExceeded(f"the line graph would have {count} {what}; "
+                                     f"at most {MAX_CLI_VERTICES} are allowed")
     return line_graph(g).graph
 
 
@@ -309,7 +314,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_linegraph(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
-    _write(format_graph(line_graph(g).graph), args.out)
+    try:
+        lg = _checked_line_graph(g, None, None)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    _write(format_graph(lg), args.out)
     return EXIT_OK
 
 

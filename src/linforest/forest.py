@@ -91,8 +91,8 @@ def is_linear_forest(g: Graph, edges) -> bool:
 
 def _forest_values(
     parent: Sequence[Optional[int]], order: Iterable[int], diameter: bool = False,
-    choices: bool = False, ones: Optional[list[int]] = None,
-) -> tuple[int, Optional[list[int]], Optional[list[int]], Optional[int]]:
+    choices: bool = False,
+) -> tuple[int, list[int], Optional[list[int]], Optional[list[int]], Optional[int]]:
     """Bottom-up pass over a rooted tree given as parent pointers (None at
     the root) and an iterable listing children before parents, root last.
 
@@ -103,14 +103,11 @@ def _forest_values(
     also keeps each vertex's top and second child, higher gain first and
     the smaller id among equal gains, so the choice does not depend on the
     order; with ``diameter``, the diameter from pushed heights. Returns
-    (f at the root, top child, second child, diameter), with None for what
-    was not asked and -1 for an unused child slot. A caller that wants the
-    counts passes a zeroed list of length n as ``ones``; the pass counts
-    into it.
+    (f at the root, ones, top child, second child, diameter), with None
+    for what was not asked and -1 for an unused child slot.
     """
     n = len(parent)
-    if ones is None:
-        ones = [0] * n
+    ones = [0] * n
     top = second = None
     if choices:
         top = [-1] * n
@@ -142,7 +139,7 @@ def _forest_values(
     one = ones.count(1)
     value = one + 2 * (n - one - ones.count(0))
     # the longest path whose top vertex is v has h1[v] + h2[v] edges
-    return value, top, second, max(map(add, h1, h2)) if diameter else None
+    return value, ones, top, second, max(map(add, h1, h2)) if diameter else None
 
 
 def _reconstruct(
@@ -191,7 +188,7 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
     number of incident edges the optimum allows, preferring children with
     smaller ids.
     """
-    _, top, second, _ = _forest_values(t.parent, t.order, choices=True)
+    _, _, top, second, _ = _forest_values(t.parent, t.order, choices=True)
     best, best_constrained = _reconstruct(t, top, top, second)
     return DpRecord(best=best, best_constrained=best_constrained)
 

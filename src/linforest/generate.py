@@ -73,7 +73,9 @@ def kary_tree(k: int, expansions: Sequence[int]) -> Graph:
 
 def random_kary_tree(k: int, internal: int, seed: int) -> Graph:
     """Random k-ary tree with the given number of internal vertices
-    (n = 1 + k * internal), grown by expanding uniformly chosen leaves."""
+    (n = 1 + k * internal), grown by expanding uniformly chosen leaves.
+    The chosen leaf trades places with the last one before it is popped,
+    so each step takes constant time."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if internal < 0:
@@ -84,7 +86,8 @@ def random_kary_tree(k: int, internal: int, seed: int) -> Graph:
     n = 1
     for _ in range(internal):
         idx = rng.randrange(len(leaves))
-        v = leaves.pop(idx)
+        leaves[idx], leaves[-1] = leaves[-1], leaves[idx]
+        v = leaves.pop()
         expansions.append(v)
         leaves.extend(range(n, n + k))
         n += k

@@ -372,53 +372,43 @@ def tree_diameter(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class TreeStats:
-    """Structural invariants of a tree used by the completion bounds.
+    """The counts of a tree behind the completion bounds.
 
     ``out`` counts leaves. ``ex`` maps each inner vertex to how many of its
     low-degree neighbors (degree < 3) exceed two; leaves are excluded.
-    ``s`` counts degree-2 vertices at depth 1 from the center root.
     """
 
-    diameter: int
-    radius: int
-    center: tuple[int, ...]
     out: int
     ex: dict[int, int]
-    s: int
 
     @property
     def ex_sum(self) -> int:
         return sum(self.ex.values())
 
 
-def hc_bound_counts(degree: Sequence[int], edges: Iterable[Edge]) -> tuple[int, list[int]]:
-    """The counts behind the completion bounds, from degrees and edges: the
-    leaf count, and per vertex how many of its low-degree neighbors
-    (degree < 3) exceed two."""
+def hc_bound_counts(
+    degree: Sequence[int], parent: Sequence[Optional[int]]
+) -> tuple[int, list[int]]:
+    """The counts behind the completion bounds, from degrees and parent
+    pointers (None at the root), which hold each edge once as
+    (v, parent[v]): the leaf count, and per vertex how many of its
+    low-degree neighbors (degree < 3) exceed two."""
     low = [0] * len(degree)
-    for u, v in edges:
-        if degree[v] < 3:
-            low[u] += 1
-        if degree[u] < 3:
-            low[v] += 1
+    for v, p in enumerate(parent):
+        if p is not None:
+            if degree[p] < 3:
+                low[v] += 1
+            if degree[v] < 3:
+                low[p] += 1
     return degree.count(1), [c - 2 if c > 2 else 0 for c in low]
 
 
 def tree_stats(t: RootedTree) -> TreeStats:
-    """Compute leaf count, excess map, diameter/radius/center, and s; s is
-    taken around the center root ``root_at_center`` picks, whatever t's
-    root."""
-    g = t.graph
-    n = g.n
-    _, order, last, layers = leaf_peel(g)
-    center = tuple(sorted(order[last:]))
-    d = 2 * (layers - 1) + len(center) - 1
-    r = (d + 1) // 2
-    degree = [g.degree(v) for v in range(n)]
-    out, excess = hc_bound_counts(degree, g.edges)
-    ex = {v: excess[v] for v in range(n) if degree[v] >= 2}
-    s = sum(1 for v in g.adjacency[center[0]] if degree[v] == 2)
-    return TreeStats(diameter=d, radius=r, center=center, out=out, ex=ex, s=s)
+    """Leaf count and excess map of a tree, from its degrees and t's parent
+    pointers; every rooting gives the same counts."""
+    degree = [len(nbrs) for nbrs in t.graph.adjacency]
+    out, excess = hc_bound_counts(degree, t.parent)
+    return TreeStats(out=out, ex={v: c for v, c in enumerate(excess) if degree[v] >= 2})
 
 
 def to_dot(g: Graph, highlight: Iterable[tuple[int, int]] = ()) -> str:

@@ -3,18 +3,19 @@
 None of these runs outside the tests. Each is the direct, slower form of
 something the package computes another way: depths and children of a
 rooted tree, the quadratic solver that scores every candidate child pair,
-leaf exchange as a rewrite of the sweep's parent and order arrays, and
-spanning trees by filtering edge subsets. pytest does not collect this
+leaf exchange as a rewrite of the sweep's parent and order arrays, the
+completion-bound counts over an edge list, and spanning trees by
+filtering edge subsets. pytest does not collect this
 module; tests import it with ``from reference import ...``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from linforest.forest import DpRecord, _reconstruct
-from linforest.graph import Graph, RootedTree, _edges_acyclic
+from linforest.graph import Edge, Graph, RootedTree, _edges_acyclic
 
 
 def depth(t: RootedTree) -> tuple[int, ...]:
@@ -96,6 +97,22 @@ def leaf_exchange_arrays(
         moved_order.remove(u_i)
     moved_order.insert(0, u_i)
     return moved, moved_order
+
+
+def hc_bound_counts_from_edges(
+    degree: Sequence[int], edges: Iterable[Edge]
+) -> tuple[int, list[int]]:
+    """The counts behind the completion bounds, from degrees and edges: the
+    leaf count, and per vertex how many of its low-degree neighbors
+    (degree < 3) exceed two. The reference for hc_bound_counts, which
+    reads the edges off parent pointers."""
+    low = [0] * len(degree)
+    for u, v in edges:
+        if degree[v] < 3:
+            low[u] += 1
+        if degree[u] < 3:
+            low[v] += 1
+    return degree.count(1), [c - 2 if c > 2 else 0 for c in low]
 
 
 def spanning_trees(g: Graph) -> Iterator[Graph]:

@@ -363,6 +363,52 @@ class TestLineGraphCmd:
         assert main(["linegraph", path]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "3 3"
 
+    @staticmethod
+    def _refuse_building(monkeypatch):
+        def refuse(g):
+            raise AssertionError("line graph built above the vertex limit")
+
+        monkeypatch.setattr(cli, "line_graph", refuse)
+
+    @pytest.mark.parametrize("argv", [
+        ["linegraph"],
+        *(["compute", q, "--of-linegraph", "--cap-oracle", "1000"]
+          for q in ("l", "hc", "longest-path", "induced-forest")),
+    ])
+    def test_limit_refused_before_building(self, tmp_path, capsys, monkeypatch, argv):
+        """L(star 8) has 7 vertices and 21 edges: above a limit of 20 each
+        command refuses it from the degrees, whatever the oracle's cap."""
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 20)
+        self._refuse_building(monkeypatch)
+        path = write_graph(tmp_path, star_graph(8))
+        assert main([*argv[:2], path, *argv[2:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: the line graph would have 21 edges; at most 20 are allowed\n")
+
+    def test_limit_on_vertices(self, tmp_path, capsys, monkeypatch):
+        # L(K5) has 10 vertices, above a limit of 9 that K5 itself is within
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 9)
+        self._refuse_building(monkeypatch)
+        path = write_graph(tmp_path, Graph(5, combinations(range(5), 2)))
+        assert main(["linegraph", path]) == 2
+        assert capsys.readouterr().err == (
+            "error: the line graph would have 10 vertices; at most 9 are allowed\n")
+
+    def test_limit_is_inclusive(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 21)
+        path = write_graph(tmp_path, star_graph(8))
+        assert main(["linegraph", path]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "7 21"
+
+    def test_decycling_prints_the_dp_line_alone_above_limit(self, tmp_path, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 20)
+        self._refuse_building(monkeypatch)
+        path = write_graph(tmp_path, star_graph(8))
+        argv = ["compute", "decycling", path, "--of-linegraph", "--cap-oracle", "1000"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "decycling(L) = 5 (dp)\n"
+
 
 class TestDot:
     def test_highlight(self, tmp_path, capsys):

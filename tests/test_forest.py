@@ -320,8 +320,7 @@ class TestLeafExchange:
         root_moves = pairs = 0
         for n in range(2, 8):
             for parent, order, degree in enumerate_tree_arrays(n):
-                ones = [0] * n
-                lv = _forest_values(parent, order, ones=ones)[0]
+                lv, ones, _, _, _ = _forest_values(parent, order)
                 leaves = [v for v in range(n) if degree[v] == 1]
                 for a in leaves:
                     moved = _value_without_leaf(parent, ones, lv, a) + 1

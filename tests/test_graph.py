@@ -369,7 +369,6 @@ class TestRooting:
     def test_star_center_is_hub(self):
         t = root_at_center(star_graph(4))
         assert t.root == 0
-        assert tree_stats(t).radius == 1
 
     def test_path4_tie_breaks_low(self):
         assert root_at_center(path_graph(4)).root == 1
@@ -476,36 +475,46 @@ class TestRooting:
 
 class TestStats:
     def test_claw(self):
-        st = tree_stats(root_at_center(star_graph(4)))
-        assert (st.out, st.diameter, st.radius) == (3, 2, 1)
+        g = star_graph(4)
+        st = tree_stats(root_at_center(g))
+        assert (st.out, tree_diameter(g)) == (3, 2)
         assert st.ex == {0: 1}
 
     def test_path5(self):
-        st = tree_stats(root_at_center(path_graph(5)))
-        assert (st.out, st.diameter, st.radius) == (2, 4, 2)
+        g = path_graph(5)
+        st = tree_stats(root_at_center(g))
+        assert (st.out, tree_diameter(g)) == (2, 4)
         assert all(v == 0 for v in st.ex.values())
 
     def test_spider(self):
-        st = tree_stats(root_at_center(spider([2, 2, 2])))
+        g = spider([2, 2, 2])
+        st = tree_stats(root_at_center(g))
         assert st.out == 3
         assert st.ex[0] == 1
-        assert st.diameter == 4
-        assert st.s == 3
+        assert tree_diameter(g) == 4
 
-    def test_s_is_taken_around_the_center(self):
-        # the path 1-0-2 rooted at a leaf still has s = 0 around its center 0
-        assert tree_stats(RootedTree(Graph(3, [(0, 1), (0, 2)]), 1)).s == 0
+    def test_every_root_gives_the_same_stats(self):
         for n in range(1, 7):
             for g in enumerate_trees(n):
                 centered = tree_stats(root_at_center(g))
                 for root in range(n):
                     assert tree_stats(RootedTree(g, root)) == centered
 
+    def test_runs_no_leaf_peel(self, monkeypatch):
+        # the counts come from the rooting's parent pointers
+        g = spider([2, 2, 2])
+        t = RootedTree(g, 3)
+
+        def refuse(*args):
+            raise AssertionError("tree_stats ran a leaf peel")
+
+        monkeypatch.setattr("linforest.graph.leaf_peel", refuse)
+        st = tree_stats(t)
+        assert (st.out, st.ex, st.ex_sum) == (3, {0: 1, 1: 0, 3: 0, 5: 0}, 1)
+
     def test_center_relation(self):
         for g in (path_graph(7), path_graph(8), star_graph(6), spider([3, 2])):
-            st = tree_stats(root_at_center(g))
-            assert st.diameter <= 2 * st.radius <= st.diameter + 1
-            assert len(st.center) in (1, 2)
+            assert len(tree_center(g)) == 1 + tree_diameter(g) % 2
 
     def test_diameter(self):
         assert tree_diameter(path_graph(1)) == 0

@@ -15,7 +15,7 @@ from linforest import (
 )
 from linforest.forest import _forest_values
 from linforest.graph import RootedTree
-from reference import leaf_exchange_arrays
+from reference import hc_bound_counts_from_edges, leaf_exchange_arrays
 
 N_MAX = 7
 
@@ -55,12 +55,25 @@ def test_value_diameter_and_hc_counts():
     for n, _, (parent, order, degree) in _all_arrays():
         g = Graph(n, _edges(parent))
         t = RootedTree(g, 0)
-        value, _, _, diameter = _forest_values(parent, order, diameter=True)
+        value, _, _, _, diameter = _forest_values(parent, order, diameter=True)
         assert value == max_linear_forest_value(t)
         assert diameter == tree_diameter(g)
-        stats = tree_stats(t)
-        out, excess = hc_bound_counts(degree, _edges(parent))
-        assert (out, sum(excess)) == (stats.out, stats.ex_sum)
+        expected = hc_bound_counts_from_edges(degree, _edges(parent))
+        assert hc_bound_counts(degree, parent) == expected
+
+
+def test_hc_counts_at_every_root():
+    """The counts from any rooting's parent pointers, and tree_stats, equal
+    the edge-list reference."""
+    for n, _, (parent, _, degree) in _all_arrays():
+        g = Graph(n, _edges(parent))
+        out, excess = hc_bound_counts_from_edges(degree, g.edges)
+        for root in range(n):
+            t = RootedTree(g, root)
+            assert hc_bound_counts(degree, t.parent) == (out, excess)
+            stats = tree_stats(t)
+            assert stats.out == out
+            assert stats.ex == {v: excess[v] for v in range(n) if degree[v] >= 2}
 
 
 def test_leaf_exchange_on_every_ordered_leaf_pair():
