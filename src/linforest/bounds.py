@@ -375,24 +375,23 @@ class VerifyRun:
 
 # The sweep's checks. Each takes one decoded tree (n, the parent and degree
 # arrays, and from the one _forest_values pass l, the diameter d and the
-# gain counts ``ones``), the upper-bound slack and the brute-force answers
-# for the tree's shape (see _sweep_range), and returns whether the tree
-# saturates the check's bound and the check's failures, each (description
-# suffix, d, value, lower, upper).
+# gain counts ``ones``), the upper-bound slack and its own brute-force
+# answer for the tree's shape (see _sweep_range; None for a check without
+# one), and returns whether the tree saturates the check's bound and the
+# check's failures, each (description suffix, d, value, lower, upper).
 
-def _check_dp_oracle(n, parent, degree, lv, d, ones, slack, oracle):
+def _check_dp_oracle(n, parent, degree, lv, d, ones, slack, bf):
     """l equals the brute-force maximum linear forest."""
-    bf = oracle[0]
     return False, (() if bf == lv else (("", None, lv, bf, bf),))
 
 
-def _check_diameter(n, parent, degree, lv, d, ones, slack, oracle):
+def _check_diameter(n, parent, degree, lv, d, ones, slack, bf):
     """d <= l <= the diameter upper bound."""
     upper = diam_upper_l_fine(n, d) - slack
     return lv == upper, (() if d <= lv <= upper else (("", d, lv, d, upper),))
 
 
-def _check_hc_bounds(n, parent, degree, lv, d, ones, slack, oracle):
+def _check_hc_bounds(n, parent, degree, lv, d, ones, slack, bf):
     """hc = n - l lies between the completion bounds."""
     out, excess = hc_bound_counts(degree, parent)
     hc = n - lv
@@ -401,7 +400,7 @@ def _check_hc_bounds(n, parent, degree, lv, d, ones, slack, oracle):
     return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
 
 
-def _check_leaf_exchange(n, parent, degree, lv, d, ones, slack, oracle):
+def _check_leaf_exchange(n, parent, degree, lv, d, ones, slack, bf):
     """No leaf exchange lowers l. Moving leaf u onto any other leaf w gives
     l(T - u) + 1, so one walk per leaf decides every pair it starts; a
     failing leaf fails with every w."""
@@ -414,10 +413,9 @@ def _check_leaf_exchange(n, parent, degree, lv, d, ones, slack, oracle):
     return False, failures
 
 
-def _check_decycling(n, parent, degree, lv, d, ones, slack, oracle):
+def _check_decycling(n, parent, degree, lv, d, ones, slack, nabla):
     """The decycling number of L(T) is n - 1 - l and, for d >= 4, lies
     between the diameter bounds."""
-    nabla = oracle[1]
     if nabla != n - 1 - lv:
         return False, (("", d, nabla, None, None),)
     if d < 4:
@@ -427,13 +425,16 @@ def _check_decycling(n, parent, degree, lv, d, ones, slack, oracle):
     return nabla == hi, (() if lo <= nabla <= hi else (("", d, nabla, lo, hi),))
 
 
-# name, the largest n it runs at (None: every n), the least diameter, check
+# name, the largest n it runs at (None: every n), the least diameter, check,
+# and the brute-force answer it compares, (n, edges) -> value, or None
 _CHECK_TABLE = (
-    ("dp-oracle", SweepConfig.dp_oracle_max_n, 0, _check_dp_oracle),
-    ("diameter", None, 4, _check_diameter),
-    ("hc-bounds", None, 0, _check_hc_bounds),
-    ("leaf-exchange", SweepConfig.leaf_exchange_max_n, 0, _check_leaf_exchange),
-    ("decycling", SweepConfig.decycling_max_n, 0, _check_decycling),
+    ("dp-oracle", SweepConfig.dp_oracle_max_n, 0, _check_dp_oracle,
+     lambda n, edges: linear_forest_edges(n, edges)[0]),
+    ("diameter", None, 4, _check_diameter, None),
+    ("hc-bounds", None, 0, _check_hc_bounds, None),
+    ("leaf-exchange", SweepConfig.leaf_exchange_max_n, 0, _check_leaf_exchange, None),
+    ("decycling", SweepConfig.decycling_max_n, 0, _check_decycling,
+     lambda n, edges: decycling_masks(line_graph_masks(n, edges))[0]),
 )
 CHECKS = tuple(entry[0] for entry in _CHECK_TABLE)
 
@@ -459,35 +460,33 @@ def _sweep_range(
     slack = cfg.upper_slack
     counts = {check: CheckCounts() for check in CHECKS}
     active = []
-    for name, max_n, min_d, check in _CHECK_TABLE:
+    for name, max_n, min_d, check, brute in _CHECK_TABLE:
         if max_n is None or n <= max_n:
-            active.append((name, counts[name], min_d, check))
+            active.append((name, counts[name], min_d, check, brute))
         else:
             counts[name].skipped = stop - start
-    with_oracle = n <= SweepConfig.dp_oracle_max_n
-    with_decycling = n <= SweepConfig.decycling_max_n
-    answers: dict[tuple[int, ...], tuple[int, Optional[int]]] = {}
-    oracle = None
+    brutes = [brute for *_, brute in active]
+    by_shape = any(brutes)
+    # the active checks' brute-force values, in their order, per shape
+    answers: dict[tuple[int, ...], tuple[Optional[int], ...]] = {}
+    found = (None,) * len(active)
     pos = [0] * n
     violations: list[BoundReport] = []
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
         lv, ones, _, _, d = _forest_values(parent, order, diameter=True)
-        if with_oracle:
+        if by_shape:
             for i, v in enumerate(order):
                 pos[v] = i
             shape = tuple([pos[parent[v]] for v in order[:-1]])
-            oracle = answers.get(shape)
-            if oracle is None:
+            found = answers.get(shape)
+            if found is None:
                 rel = list(enumerate(shape))
-                oracle = answers[shape] = (
-                    linear_forest_edges(n, rel)[0],
-                    decycling_masks(line_graph_masks(n, rel))[0] if with_decycling else None,
-                )
-        for name, c, min_d, check in active:
+                found = answers[shape] = tuple(b(n, rel) if b else None for b in brutes)
+        for (name, c, min_d, check, _), bf in zip(active, found):
             if d < min_d:
                 c.skipped += 1
                 continue
-            saturated, failures = check(n, parent, degree, lv, d, ones, slack, oracle)
+            saturated, failures = check(n, parent, degree, lv, d, ones, slack, bf)
             if saturated:
                 c.saturated += 1
             if failures:
@@ -498,7 +497,7 @@ def _sweep_range(
                     BoundReport(name, desc + suffix, n, fd, value, lo, hi, False)
                     for suffix, fd, value, lo, hi in failures
                 )
-    for _, c, _, _ in active:
+    for _, c, *_ in active:
         c.checked = stop - start - c.skipped
     return counts, violations
 

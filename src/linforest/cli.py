@@ -54,17 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, help="output file (default stdout)")
 
     comp = sub.add_parser("compute", help="compute an invariant of a graph file")
-    comp.add_argument(
-        "quantity",
-        choices=[
-            "l",
-            "hc",
-            "hc-construct",
-            "decycling",
-            "longest-path",
-            "induced-forest",
-        ],
-    )
+    comp.add_argument("quantity", choices=list(_QUANTITIES))
     comp.add_argument("input", help="edge-list file, or - for stdin")
     comp.add_argument("--of-linegraph", action="store_true",
                       help="apply the quantity to the line graph of the input, "
@@ -204,21 +194,54 @@ def _fmt_edges(edges: Sequence[tuple[int, int]]) -> str:
     return " ".join(f"{u}-{v}" for u, v in edges) if edges else "(empty)"
 
 
-def _checked_line_graph(g: Graph, q: Optional[str], cap: Optional[int]) -> Graph:
-    """L(g), built only once its size passes what ``q`` checks on it (None:
-    nothing) and neither of its counts exceeds MAX_CLI_VERTICES. L(g) has
-    g.m vertices and one edge per pair of meeting edges; unless that is
-    g.m - 1 edges, it is no tree and only an oracle can answer."""
+def _fmt_vertices(vertices: Sequence[int]) -> str:
+    return " ".join(map(str, vertices)) or "(empty)"
+
+
+def _tree_l(g: Graph) -> oracle.OracleResult:
+    rec = forest.max_linear_forest(root_at_center(g))
+    return oracle.OracleResult(rec.value, rec.best.edges)
+
+
+def _tree_hc_construct(g: Graph) -> oracle.OracleResult:
+    completion = forest.hc_construct(g)
+    return oracle.OracleResult(len(completion), completion.added_edges)
+
+
+# quantity: (label of the value; label of the witness and its writer, None
+# for no witness; the tree answer, whose leaf peel raises NotATree on any
+# other graph; the oracle; what the oracle's cap counts, and its default,
+# restated so that an L(G) above the cap is refused before it is built).
+# Every answer is an OracleResult.
+_QUANTITIES = {
+    "l": ("l", "witness", _fmt_edges, _tree_l, oracle.max_linear_forest_bf,
+          "m", oracle.DEFAULT_EDGE_CAP),
+    "hc": ("hc", None, None, lambda g: oracle.OracleResult(forest.hc_of_tree(g), ()),
+           lambda g, cap: oracle.OracleResult(oracle.hc_bf(g, cap), ()),
+           "n", oracle.DEFAULT_HC_CAP),
+    "hc-construct": ("size", "added", _fmt_edges, _tree_hc_construct, None, None, None),
+    "decycling": ("decycling", "witness", _fmt_vertices, None, oracle.decycling_number,
+                  "n", oracle.DEFAULT_VERTEX_CAP),
+    "longest-path": ("longest-path", "witness", lambda path: "-".join(map(str, path)), None,
+                     oracle.longest_path_bf, "n", oracle.DEFAULT_VERTEX_CAP),
+    "induced-forest": ("induced-forest", "witness", _fmt_vertices, None,
+                       oracle.max_induced_forest, "n", oracle.DEFAULT_VERTEX_CAP),
+}
+
+
+def _checked_line_graph(g: Graph, row: Optional[tuple], cap: Optional[int]) -> Graph:
+    """L(g), built only once its size passes what ``row`` of _QUANTITIES
+    checks on it (None: nothing) and neither of its counts exceeds
+    MAX_CLI_VERTICES. L(g) has g.m vertices and one edge per pair of meeting
+    edges; unless that is g.m - 1, it is no tree and only an oracle answers."""
     n = g.m
     m = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in g.adjacency)
-    if q == "l" and m != n - 1:
-        oracle.check_cap(m, cap, oracle.DEFAULT_EDGE_CAP, "m")
-    elif q == "hc" and m != n - 1:
-        oracle.check_cap(n, cap, oracle.DEFAULT_HC_CAP, "n")
-    elif q == "hc-construct" and m != n - 1 and n >= 3:  # n < 3: its own check first
-        raise NotATree("not a tree: edge count differs from n-1")
-    elif q in ("longest-path", "induced-forest", "decycling"):  # no tree solver
-        oracle.check_cap(n, cap, oracle.DEFAULT_VERTEX_CAP, "n")
+    if row is not None:
+        *_, tree, brute, counts, default = row
+        if brute is not None and (tree is None or m != n - 1):
+            oracle.check_cap(n if counts == "n" else m, cap, default, counts)
+        elif brute is None and m != n - 1 and n >= 3:  # n < 3: its own check first
+            raise NotATree("not a tree: edge count differs from n-1")
     for count, what in ((n, "vertices"), (m, "edges")):
         if count > MAX_CLI_VERTICES:
             raise oracle.CapExceeded(f"the line graph would have {count} {what}; "
@@ -229,61 +252,34 @@ def _checked_line_graph(g: Graph, q: Optional[str], cap: Optional[int]) -> Graph
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     cap = args.cap_oracle
-    q = args.quantity
-    lines: list[str] = []
+    row = _QUANTITIES[args.quantity]
+    label, witness, write, tree, brute, _, _ = row
     try:
-        if args.of_linegraph and q != "decycling":
-            g = _checked_line_graph(g, q, cap)
-        # l, hc and the dp line of decycling(L) go to the tree solver, whose
-        # peel rejects every non-tree; only then does the oracle answer
-        if q == "l":
+        if args.of_linegraph and args.quantity == "decycling":
+            # the solver's line (n - 1 - l, trees only) beside the oracle's
+            parts = []
+            with suppress(NotATree):
+                parts.append(f"{g.n - 1 - forest.l_of_tree(g)} (dp)")
             try:
-                rec = forest.max_linear_forest(root_at_center(g))
-            except NotATree:
-                res = oracle.max_linear_forest_bf(g, cap)
-                lines.append(f"l={res.value} witness={_fmt_edges(res.witness)} (oracle)")
-            else:
-                lines.append(f"l={rec.value} witness={_fmt_edges(rec.best.edges)}")
-        elif q == "hc":
-            try:
-                lines.append(f"hc={forest.hc_of_tree(g)}")
-            except NotATree:
-                lines.append(f"hc={oracle.hc_bf(g, cap)} (oracle)")
-        elif q == "hc-construct":
-            completion = forest.hc_construct(g)
-            lines.append(
-                f"size={len(completion)} added={_fmt_edges(completion.added_edges)}"
-            )
-        elif q == "decycling":
+                parts.append(f"{brute(_checked_line_graph(g, row, cap), cap).value} (oracle)")
+            except oracle.CapExceeded:
+                if not parts:
+                    raise
+            line = "decycling(L) = " + " = ".join(parts)
+        else:
             if args.of_linegraph:
-                parts = []
-                with suppress(NotATree):
-                    parts.append(f"{g.n - 1 - forest.l_of_tree(g)} (dp)")
-                try:
-                    res = oracle.decycling_number(_checked_line_graph(g, q, cap), cap)
-                    parts.append(f"{res.value} (oracle)")
-                except oracle.CapExceeded:
-                    if not parts:
-                        raise
-                lines.append("decycling(L) = " + " = ".join(parts))
-            else:
-                res = oracle.decycling_number(g, cap)
-                lines.append(
-                    f"decycling={res.value} witness={' '.join(map(str, res.witness)) or '(empty)'}"
-                )
-        elif q == "longest-path":
-            res = oracle.longest_path_bf(g, cap)
-            lines.append(
-                f"longest-path={res.value} witness={'-'.join(map(str, res.witness))}"
-            )
-        elif q == "induced-forest":
-            res = oracle.max_induced_forest(g, cap)
-            lines.append(
-                f"induced-forest={res.value} witness={' '.join(map(str, res.witness)) or '(empty)'}"
-            )
-    except ValueError as exc:  # oracle.CapExceeded included
+                g = _checked_line_graph(g, row, cap)
+            try:
+                res, source = (tree(g) if tree else brute(g, cap)), ""
+            except NotATree:  # the tree answer's peel refused g: ask the oracle
+                if not (tree and brute):  # no tree answer ran, or no oracle to ask
+                    raise
+                res, source = brute(g, cap), " (oracle)"
+            shown = f" {witness}={write(res.witness)}" if witness else ""
+            line = f"{label}={res.value}{shown}{source}"
+    except ValueError as exc:  # NotATree and oracle.CapExceeded included
         raise CliError(str(exc)) from exc
-    _write("\n".join(lines) + "\n", args.out)
+    _write(line + "\n", args.out)
     return EXIT_OK
 
 

@@ -117,6 +117,15 @@ class TestGen:
         assert main(["gen", "random", "9", "--seed", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_seeded_kary_pinned(self, tmp_path, capsys):
+        """A seed names one k-ary tree, on every Python version."""
+        out = tmp_path / "k.txt"
+        assert main(["gen", "kary", "2", "1001", "--seed", "1", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "n=1001 m=1000 d=43\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "ec2a2879dd26b94c4be961b3fb9998f5a0bc16b310f0702026430afdf0ef79fc"
+        )
+
 
 class TestCompute:
     def test_l_tree(self, tmp_path, capsys):
@@ -301,6 +310,63 @@ class TestCompute:
         ):
             assert main(argv) == 0
             assert capsys.readouterr().out == expected
+
+    @staticmethod
+    def _cycle(k):
+        return Graph(k, [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)])
+
+    # each quantity with an oracle, and that oracle's default cap
+    ORACLE_CAPS = [("l", 24), ("hc", 9), ("decycling", 20), ("longest-path", 20),
+                   ("induced-forest", 20)]
+
+    def test_every_oracle_has_a_boundary_case(self):
+        with_oracle = {q for q, row in cli._QUANTITIES.items() if row[4] is not None}
+        assert {q for q, _ in self.ORACLE_CAPS} == with_oracle
+
+    @pytest.mark.parametrize("quantity, k", ORACLE_CAPS)
+    def test_of_linegraph_cap_at_its_boundary(self, tmp_path, capsys, monkeypatch,
+                                              quantity, k):
+        """C_k is its own line graph and never a tree, so --of-linegraph
+        checks the oracle's cap before it builds L: at the default cap k it
+        answers, at k + 1 it refuses with the oracle's own message on
+        C_(k+1), and --cap-oracle k + 1 lifts the refusal."""
+        def refuse(g):
+            raise AssertionError("line graph built above the oracle's cap")
+
+        at_cap = write_graph(tmp_path, self._cycle(k), "at.txt")
+        assert main(["compute", quantity, at_cap, "--of-linegraph"]) == 0
+        capsys.readouterr()
+        above = write_graph(tmp_path, self._cycle(k + 1), "above.txt")
+        assert main(["compute", quantity, above]) == 2
+        message = capsys.readouterr().err
+        assert message.endswith(f"={k + 1} exceeds cap {k}\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "line_graph", refuse)
+            assert main(["compute", quantity, above, "--of-linegraph"]) == 2
+        assert capsys.readouterr().err == message
+        assert main(["compute", quantity, above, "--of-linegraph",
+                     "--cap-oracle", str(k + 1)]) == 0
+
+    def test_hc_construct_of_cycle_linegraph(self, tmp_path, capsys):
+        path = write_graph(tmp_path, self._cycle(20))
+        assert main(["compute", "hc-construct", path, "--of-linegraph"]) == 2
+        assert capsys.readouterr().err == "error: not a tree: edge count differs from n-1\n"
+
+    @pytest.mark.parametrize("graph, args", [
+        (path_graph(5), ["l"]),
+        (Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]), ["l"]),
+        (star_graph(4), ["decycling", "--of-linegraph"]),
+    ], ids=["l-tree", "l-oracle", "decycling-L"])
+    def test_out_file_equals_stdout(self, tmp_path, capsys, graph, args):
+        """--out writes what stdout would show, and stdout stays empty."""
+        path = write_graph(tmp_path, graph)
+        argv = ["compute", args[0], path, *args[1:]]
+        assert main(argv) == 0
+        shown = capsys.readouterr().out
+        out = tmp_path / "out.txt"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == shown
 
     def test_linegraph_is_not_a_quantity(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
