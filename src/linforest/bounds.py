@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import ClassVar, Iterable, Optional
 
 from .forest import _forest_values, _hc_lower, _value_without_leaf
@@ -374,11 +375,11 @@ class VerifyRun:
 
 
 # The sweep's checks. Each takes one decoded tree (n, the parent and degree
-# arrays, and from the one _forest_values pass l, the diameter d and the
-# gain counts ``ones``), the upper-bound slack and its own brute-force
-# answer for the tree's shape (see _sweep_range; None for a check without
-# one), and returns whether the tree saturates the check's bound and the
-# check's failures, each (description suffix, d, value, lower, upper).
+# arrays, l and the gain counts ``ones`` from the one _forest_values pass,
+# and the diameter d from the tree's shape), the upper-bound slack and its
+# own brute-force answer for the shape (see _shape_table; None for a check
+# without one), and returns whether the tree saturates the check's bound
+# and the check's failures, each (description suffix, d, value, lower, upper).
 
 def _check_dp_oracle(n, parent, degree, lv, d, ones, slack, bf):
     """l equals the brute-force maximum linear forest."""
@@ -439,54 +440,64 @@ _CHECK_TABLE = (
 CHECKS = tuple(entry[0] for entry in _CHECK_TABLE)
 
 
+def _shape_table(n: int) -> dict[tuple[int, ...], tuple[Optional[int], ...]]:
+    """Map each tree shape on n vertices to its diameter, then to each
+    _CHECK_TABLE row's brute-force answer (None for a row without one or
+    out of scope at n).
+
+    A shape renames each vertex of a labeled tree to its position in the
+    sweep's order: vertex i's parent is shape[i] > i and the root is n - 1,
+    so there are (n-1)! shapes against n^(n-2) trees. The edges (i,
+    shape[i]) are the tree's edges up to a bijection, in the same order,
+    so the oracles give the same values.
+    """
+    brutes = [brute if brute and (max_n is None or n <= max_n) else None
+              for _, max_n, _, _, brute in _CHECK_TABLE]
+    table = {}
+    for shape in product(*(range(i + 1, n) for i in range(n - 1))):
+        height, d = [0] * n, 0
+        for v, p in enumerate(shape):  # v's height is final: its children come first
+            d = max(d, height[p] + height[v] + 1)
+            height[p] = max(height[p], height[v] + 1)
+        rel = list(enumerate(shape))
+        table[shape] = (d, *(brute(n, rel) if brute else None for brute in brutes))
+    return table
+
+
 def _sweep_range(
-    args: tuple[int, int, int, SweepConfig]
+    args: tuple[int, int, int, SweepConfig, dict]
 ) -> tuple[dict[str, CheckCounts], list[BoundReport]]:
     """Worker: check every tree with Prüfer rank in [start, stop).
 
-    Each tree stays in its decoded arrays: one pass gives l, the diameter
-    and the gain counts, and every check in scope reads them. Scope by n
-    is decided once for the range, scope by diameter per tree; a check in
-    scope for the range checks every tree it does not skip.
-
-    The brute-force oracles run once per shape, not once per tree. The
-    shape renames each vertex to its position in ``order``, so the edge
-    (order[i], parent[order[i]]) becomes (i, shape[i]): the same edges up
-    to a bijection of the vertices, in the same order, which gives the
-    same oracle values. Children come before parents, so there are (n-1)!
-    shapes against n^(n-2) trees.
+    Each tree stays in its decoded arrays: one pass gives l and the gain
+    counts, the tree's shape looked up in ``table`` gives the diameter and
+    the brute-force answers, and every check in scope reads them. Scope by
+    n is decided once for the range, scope by diameter per tree; a check
+    in scope for the range checks every tree it does not skip.
     """
-    n, start, stop, cfg = args
+    n, start, stop, cfg, table = args
     slack = cfg.upper_slack
     counts = {check: CheckCounts() for check in CHECKS}
     active = []
-    for name, max_n, min_d, check, brute in _CHECK_TABLE:
+    # a shape's entry holds the diameter, then one answer per row
+    for at, (name, max_n, min_d, check, _) in enumerate(_CHECK_TABLE, 1):
         if max_n is None or n <= max_n:
-            active.append((name, counts[name], min_d, check, brute))
+            active.append((name, counts[name], min_d, check, at))
         else:
             counts[name].skipped = stop - start
-    brutes = [brute for *_, brute in active]
-    by_shape = any(brutes)
-    # the active checks' brute-force values, in their order, per shape
-    answers: dict[tuple[int, ...], tuple[Optional[int], ...]] = {}
-    found = (None,) * len(active)
     pos = [0] * n
     violations: list[BoundReport] = []
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
-        lv, ones, _, _, d = _forest_values(parent, order, diameter=True)
-        if by_shape:
-            for i, v in enumerate(order):
-                pos[v] = i
-            shape = tuple([pos[parent[v]] for v in order[:-1]])
-            found = answers.get(shape)
-            if found is None:
-                rel = list(enumerate(shape))
-                found = answers[shape] = tuple(b(n, rel) if b else None for b in brutes)
-        for (name, c, min_d, check, _), bf in zip(active, found):
+        lv, ones, _, _ = _forest_values(parent, order)
+        for i, v in enumerate(order):
+            pos[v] = i
+        entry = table[tuple([pos[parent[v]] for v in order[:-1]])]
+        d = entry[0]
+        for name, c, min_d, check, at in active:
             if d < min_d:
                 c.skipped += 1
                 continue
-            saturated, failures = check(n, parent, degree, lv, d, ones, slack, bf)
+            saturated, failures = check(n, parent, degree, lv, d, ones, slack, entry[at])
             if saturated:
                 c.saturated += 1
             if failures:
@@ -515,11 +526,12 @@ def verify_theorems(
     """Sweep all labeled trees with n_min <= n <= n_max and cross-check the
     solver against the brute-force oracle and every bound in scope.
 
-    The Prüfer rank space is range-partitioned across worker processes;
-    results merge in rank order, so the outcome is independent of the
-    process count. At most ``os.cpu_count()`` workers start, whatever
-    ``processes`` asks for. Violations are returned as data, never raised;
-    a range with no tree in it (n_max < n_min) raises ValueError.
+    Each n's shape table is filled first, so the oracles run once per
+    shape. Then the Prüfer rank space is range-partitioned across worker
+    processes; results merge in rank order, so the outcome is independent
+    of the process count. At most ``os.cpu_count()`` workers start,
+    whatever ``processes`` asks for. Violations are returned as data, not
+    raised; a range with no tree in it (n_max < n_min) raises ValueError.
     """
     if n_min < 2:
         raise ValueError("sweep starts at n=2")
@@ -531,16 +543,15 @@ def verify_theorems(
     counts = {check: CheckCounts() for check in CHECKS}
     violations: list[BoundReport] = []
     trees = 0
-    jobs: list[tuple[int, int, int, SweepConfig]] = []
+    jobs: list[tuple[int, int, int, SweepConfig, dict]] = []
     for n in range(n_min, n_max + 1):
         total = num_labeled_trees(n)
         trees += total
+        table = _shape_table(n)
+        step = total
         if processes > 1 and total >= _PARALLEL_THRESHOLD:
-            chunks = processes * 4
-            step = _ceil_div(total, chunks)
-            jobs.extend((n, lo, min(lo + step, total), config) for lo in range(0, total, step))
-        else:
-            jobs.append((n, 0, total, config))
+            step = _ceil_div(total, processes * 4)
+        jobs.extend((n, lo, min(lo + step, total), config, table) for lo in range(0, total, step))
 
     def merge(result: tuple[dict[str, CheckCounts], list[BoundReport]]) -> None:
         part, viol = result

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .graph import Graph, RootedTree, TreeStats, _edges_acyclic, leaf_peel
@@ -90,9 +89,8 @@ def is_linear_forest(g: Graph, edges) -> bool:
 
 
 def _forest_values(
-    parent: Sequence[Optional[int]], order: Iterable[int], diameter: bool = False,
-    choices: bool = False,
-) -> tuple[int, list[int], Optional[list[int]], Optional[list[int]], Optional[int]]:
+    parent: Sequence[Optional[int]], order: Iterable[int], choices: bool = False
+) -> tuple[int, list[int], Optional[list[int]], Optional[list[int]]]:
     """Bottom-up pass over a rooted tree given as parent pointers (None at
     the root) and an iterable listing children before parents, root last.
 
@@ -102,9 +100,8 @@ def _forest_values(
     root is the sum of min(ones, 2) over all vertices. With ``choices`` it
     also keeps each vertex's top and second child, higher gain first and
     the smaller id among equal gains, so the choice does not depend on the
-    order; with ``diameter``, the diameter from pushed heights. Returns
-    (f at the root, ones, top child, second child, diameter), with None
-    for what was not asked and -1 for an unused child slot.
+    order. Returns (f at the root, ones, top child, second child), with
+    None for the children when not asked and -1 for an unused child slot.
     """
     n = len(parent)
     ones = [0] * n
@@ -112,9 +109,6 @@ def _forest_values(
     if choices:
         top = [-1] * n
         second = [-1] * n
-    if diameter:
-        h1 = [0] * n
-        h2 = [0] * n
     for v in order:
         p = parent[v]
         if p is None:
@@ -130,16 +124,9 @@ def _forest_values(
                 b = second[p]
                 if b < 0 or gain > (gb := ones[b] < 2) or (gain == gb and v < b):
                     second[p] = v
-        if diameter:
-            hv = h1[v] + 1
-            if hv > h1[p]:
-                h2[p], h1[p] = h1[p], hv
-            elif hv > h2[p]:
-                h2[p] = hv
     one = ones.count(1)
     value = one + 2 * (n - one - ones.count(0))
-    # the longest path whose top vertex is v has h1[v] + h2[v] edges
-    return value, ones, top, second, max(map(add, h1, h2)) if diameter else None
+    return value, ones, top, second
 
 
 def _reconstruct(
@@ -188,7 +175,7 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
     number of incident edges the optimum allows, preferring children with
     smaller ids.
     """
-    _, _, top, second, _ = _forest_values(t.parent, t.order, choices=True)
+    _, _, top, second = _forest_values(t.parent, t.order, choices=True)
     best, best_constrained = _reconstruct(t, top, top, second)
     return DpRecord(best=best, best_constrained=best_constrained)
 
@@ -333,8 +320,9 @@ def hc_construct(g: Graph) -> Completion:
 def is_hamiltonian_cycle(g: Graph, added_edges: Iterable[tuple[int, int]],
                          cycle: Sequence[int]) -> bool:
     """Check a completion certificate in linear time: the added edges are
-    distinct non-edges of g, and ``cycle`` visits every vertex once with
-    each step, the closing one too, on an edge of g or an added edge."""
+    distinct non-edges of g, each joining two different vertices of g, and
+    ``cycle`` visits every vertex once with each step, the closing one
+    too, on an edge of g or an added edge."""
     n = g.n
     if n < 3 or len(cycle) != n:
         return False
@@ -346,7 +334,8 @@ def is_hamiltonian_cycle(g: Graph, added_edges: Iterable[tuple[int, int]],
     added_list = [(u, v) if u < v else (v, u) for u, v in added_edges]
     added = set(added_list)
     host = g.edge_set()
-    if len(added) != len(added_list) or not added.isdisjoint(host):
+    if (len(added) != len(added_list) or not added.isdisjoint(host)
+            or not all(0 <= u < v < n for u, v in added)):
         return False
     prev = cycle[-1]
     for v in cycle:

@@ -1,9 +1,11 @@
 import concurrent.futures
 import hashlib
+import multiprocessing
 import os
 import re
 from dataclasses import fields
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -35,7 +37,7 @@ from linforest import (
     verify_theorems,
 )
 from linforest import bounds
-from linforest.bounds import BoundReport, CheckCounts, _sweep_range
+from linforest.bounds import BoundReport, CheckCounts, _shape_table, _sweep_range
 from linforest.forest import _forest_values
 from linforest.graph import Graph
 
@@ -353,16 +355,17 @@ class TestHarness:
         # 6^3 = 216: rank 215 is prufer[0,5,5,5] and rank 216 carries
         # through every digit to prufer[1,0,0,0]
         n, total = 6, 6**4
+        table = _shape_table(n)
         cuts = [0, 1, 215, 216, 217, 700, total]
         for cfg in (
             SweepConfig(leaf_exchange_all_pairs=True, upper_slack=1),
             SweepConfig(upper_slack=1),
         ):
-            whole_counts, whole_violations = _sweep_range((n, 0, total, cfg))
+            whole_counts, whole_violations = _sweep_range((n, 0, total, cfg, table))
             counts = {check: CheckCounts() for check in whole_counts}
             violations = []
             for lo, hi in zip(cuts, cuts[1:]):
-                part_counts, part_violations = _sweep_range((n, lo, hi, cfg))
+                part_counts, part_violations = _sweep_range((n, lo, hi, cfg, table))
                 for check, c in part_counts.items():
                     counts[check].merge(c)
                 violations += part_violations
@@ -399,6 +402,25 @@ class TestHarness:
         assert run.ok
         assert run.counts["leaf-exchange"].checked == run.trees
         assert calls == run.trees
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_oracle_calls_do_not_depend_on_the_process_count(self, monkeypatch, processes):
+        # n = 8 is above the pool threshold, so two processes split its
+        # rank space; the shape table is filled before the split, so the
+        # oracle answers each of the 7! shapes once. The counter is shared
+        # memory, so a call in a forked worker would count as well.
+        calls = multiprocessing.Value("i", 0)
+        kernel = bounds.linear_forest_edges
+
+        def counted(n, edges):
+            with calls.get_lock():
+                calls.value += 1
+            return kernel(n, edges)
+
+        monkeypatch.setattr(bounds, "linear_forest_edges", counted)
+        run = verify_theorems(8, n_min=8, processes=processes)
+        assert run.ok and run.counts["dp-oracle"].checked == run.trees
+        assert calls.value == factorial(7) == 5040
 
     # Reports when every leaf exchange counts one less than its true l, so
     # that each move that keeps l fails. The counts and digests were taken

@@ -250,6 +250,8 @@ class TestHcConstruct:
         assert not is_hamiltonian_cycle(g, added + added[:1], cycle)  # duplicated
         assert not is_hamiltonian_cycle(g, added + (g.edges[0],), cycle)  # a tree edge
         assert is_hamiltonian_cycle(g, added + ((1, 3),), cycle)  # unused, still a completion
+        for bogus in ((1, 1), (0, 7), (-1, 1)):  # a loop, an endpoint out of range
+            assert not is_hamiltonian_cycle(path_graph(3), [(0, 2), bogus], [0, 1, 2])
         # a closed walk on edges that revisits 1 and misses 3
         assert is_hamiltonian_cycle(path_graph(4), ((0, 3),), (0, 1, 2, 3))
         assert not is_hamiltonian_cycle(path_graph(4), ((0, 3),), (1, 0, 1, 2))
@@ -320,7 +322,7 @@ class TestLeafExchange:
         root_moves = pairs = 0
         for n in range(2, 8):
             for parent, order, degree in enumerate_tree_arrays(n):
-                lv, ones, _, _, _ = _forest_values(parent, order)
+                lv, ones, _, _ = _forest_values(parent, order)
                 leaves = [v for v in range(n) if degree[v] == 1]
                 for a in leaves:
                     moved = _value_without_leaf(parent, ones, lv, a) + 1

@@ -1,6 +1,8 @@
 """The sweep's array kernel against the Graph-based functions it replaces,
 on every labeled tree with n <= 7."""
 
+from math import factorial
+
 from linforest import (
     Graph,
     enumerate_tree_arrays,
@@ -13,6 +15,7 @@ from linforest import (
     tree_diameter,
     tree_stats,
 )
+from linforest.bounds import _shape_table
 from linforest.forest import _forest_values
 from linforest.graph import RootedTree
 from reference import hc_bound_counts_from_edges, leaf_exchange_arrays
@@ -55,11 +58,27 @@ def test_value_diameter_and_hc_counts():
     for n, _, (parent, order, degree) in _all_arrays():
         g = Graph(n, _edges(parent))
         t = RootedTree(g, 0)
-        value, _, _, _, diameter = _forest_values(parent, order, diameter=True)
+        value, _, _, _ = _forest_values(parent, order)
         assert value == max_linear_forest_value(t)
-        assert diameter == tree_diameter(g)
         expected = hc_bound_counts_from_edges(degree, _edges(parent))
         assert hc_bound_counts(degree, parent) == expected
+
+
+def test_shape_table_diameters():
+    """One entry per shape, (n-1)! of them, and each labeled tree's shape
+    holds the diameter of the tree its Prüfer rank decodes to."""
+    tables = {n: _shape_table(n) for n in range(2, N_MAX + 2)}
+    for n, table in tables.items():
+        assert len(table) == factorial(n - 1)
+    trees = 0
+    for n, rank, (parent, order, _) in _all_arrays():
+        if n < 2:
+            continue
+        pos = {v: i for i, v in enumerate(order)}
+        d = tables[n][tuple(pos[parent[v]] for v in order[:-1])][0]
+        assert d == tree_diameter(prufer_decode(prufer_from_rank(n, rank), n))
+        trees += 1
+    assert trees == sum(n ** (n - 2) for n in range(2, N_MAX + 1))
 
 
 def test_hc_counts_at_every_root():
