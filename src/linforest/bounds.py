@@ -469,11 +469,17 @@ def _sweep_range(
 ) -> tuple[dict[str, CheckCounts], list[BoundReport]]:
     """Worker: check every tree with Prüfer rank in [start, stop).
 
-    Each tree stays in its decoded arrays: one pass gives l and the gain
-    counts, the tree's shape looked up in ``table`` gives the diameter and
-    the brute-force answers, and every check in scope reads them. Scope by
-    n is decided once for the range, scope by diameter per tree; a check
-    in scope for the range checks every tree it does not skip.
+    Each labeled tree is solved and compared; checks run once per shape,
+    and a tree that differs or fails is checked alone. Each tree stays in
+    its decoded arrays: one pass gives l and the gain counts, and the
+    tree's shape looked up in ``table`` gives the diameter and the
+    brute-force answers. Every check's outcome depends only on the shape
+    and l, so the first tree of a shape runs every check in scope and, if
+    none fails, the shape keeps its l and the checks it skipped and
+    saturated; a later tree of the shape with that l is only tallied, and
+    the tallies join the counts when the range ends. Scope by n is decided
+    once for the range, scope by diameter per shape; a check in scope for
+    the range checks every tree it does not skip.
     """
     n, start, stop, cfg, table = args
     slack = cfg.upper_slack
@@ -487,20 +493,34 @@ def _sweep_range(
             counts[name].skipped = stop - start
     pos = [0] * n
     violations: list[BoundReport] = []
+    # shape -> None once its first tree failed, else the tally of that
+    # tree's outcome: [l, the checks skipped, the checks saturated, later
+    # trees], one list for all the shapes with that outcome
+    memo: dict[tuple[int, ...], Optional[list]] = {}
+    tallies: dict[tuple, list] = {}
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
         lv, ones, _, _ = _forest_values(parent, order)
         for i, v in enumerate(order):
             pos[v] = i
-        entry = table[tuple([pos[parent[v]] for v in order[:-1]])]
+        key = tuple([pos[parent[v]] for v in order[:-1]])
+        seen = memo.get(key)
+        if seen and seen[0] == lv:
+            seen[3] += 1
+            continue
+        entry = table[key]
         d = entry[0]
+        skipped, saturated, failed = [], [], False
         for name, c, min_d, check, at in active:
             if d < min_d:
                 c.skipped += 1
+                skipped.append(name)
                 continue
-            saturated, failures = check(n, parent, degree, lv, d, ones, slack, entry[at])
-            if saturated:
+            sat, failures = check(n, parent, degree, lv, d, ones, slack, entry[at])
+            if sat:
                 c.saturated += 1
+                saturated.append(name)
             if failures:
+                failed = True
                 c.violations += len(failures)
                 seq = ",".join(map(str, prufer_from_rank(n, rank)))
                 desc = f"prufer[{seq}]" if seq else f"tree(n={n})"
@@ -508,12 +528,38 @@ def _sweep_range(
                     BoundReport(name, desc + suffix, n, fd, value, lo, hi, False)
                     for suffix, fd, value, lo, hi in failures
                 )
+        if key not in memo:
+            outcome = (lv, tuple(skipped), tuple(saturated))
+            memo[key] = None if failed else tallies.setdefault(outcome, [*outcome, 0])
+    for _, skipped, saturated, more in tallies.values():
+        for name in skipped:
+            counts[name].skipped += more
+        for name in saturated:
+            counts[name].saturated += more
     for _, c, *_ in active:
         c.checked = stop - start - c.skipped
     return counts, violations
 
 
 _PARALLEL_THRESHOLD = 20000  # below this a pool costs more than it saves
+
+# each n's shape table in a pool worker, set once by _init_worker
+_worker_tables: dict[int, dict] = {}
+
+
+def _init_worker(tables: dict[int, dict]) -> None:
+    """Pool initializer: keep the shape tables in the worker, so they are
+    sent once per worker, not once per job."""
+    global _worker_tables
+    _worker_tables = tables
+
+
+def _sweep_job(
+    job: tuple[int, int, int, SweepConfig]
+) -> tuple[dict[str, CheckCounts], list[BoundReport]]:
+    """Pool worker: _sweep_range over an (n, start, stop, config) job with
+    n's shape table from _init_worker."""
+    return _sweep_range((*job, _worker_tables[job[0]]))
 
 
 def verify_theorems(
@@ -528,7 +574,8 @@ def verify_theorems(
 
     Each n's shape table is filled first, so the oracles run once per
     shape. Then the Prüfer rank space is range-partitioned across worker
-    processes; results merge in rank order, so the outcome is independent
+    processes, which receive the tables once each, from the pool's
+    initializer; results merge in rank order, so the outcome is independent
     of the process count. At most ``os.cpu_count()`` workers start,
     whatever ``processes`` asks for. Violations are returned as data, not
     raised; a range with no tree in it (n_max < n_min) raises ValueError.
@@ -543,15 +590,16 @@ def verify_theorems(
     counts = {check: CheckCounts() for check in CHECKS}
     violations: list[BoundReport] = []
     trees = 0
-    jobs: list[tuple[int, int, int, SweepConfig, dict]] = []
+    tables = {}
+    jobs: list[tuple[int, int, int, SweepConfig]] = []
     for n in range(n_min, n_max + 1):
         total = num_labeled_trees(n)
         trees += total
-        table = _shape_table(n)
+        tables[n] = _shape_table(n)
         step = total
         if processes > 1 and total >= _PARALLEL_THRESHOLD:
             step = _ceil_div(total, processes * 4)
-        jobs.extend((n, lo, min(lo + step, total), config, table) for lo in range(0, total, step))
+        jobs.extend((n, lo, min(lo + step, total), config) for lo in range(0, total, step))
 
     def merge(result: tuple[dict[str, CheckCounts], list[BoundReport]]) -> None:
         part, viol = result
@@ -564,10 +612,12 @@ def verify_theorems(
         # loads the process-pool machinery
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=processes) as pool:
-            for result in pool.map(_sweep_range, jobs):
+        with ProcessPoolExecutor(
+            max_workers=processes, initializer=_init_worker, initargs=(tables,)
+        ) as pool:
+            for result in pool.map(_sweep_job, jobs):
                 merge(result)
     else:
-        for job in jobs:
-            merge(_sweep_range(job))
+        for n, lo, hi, cfg in jobs:
+            merge(_sweep_range((n, lo, hi, cfg, tables[n])))
     return VerifyRun(n_min=n_min, n_max=n_max, trees=trees, counts=counts, violations=violations)

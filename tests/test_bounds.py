@@ -28,6 +28,8 @@ from linforest import (
     perfect_kary_l,
     perfect_kary_recurrence,
     perfect_kary_size,
+    prufer_arrays,
+    prufer_from_rank,
     random_kary_tree,
     reports_to_csv,
     t1_star,
@@ -295,6 +297,22 @@ class TestLongestPathWindow:
         assert checked > 100
 
 
+def _shape_ranks(n):
+    """The Prüfer ranks of n's labeled trees, grouped by the tree's shape:
+    each vertex renamed to its position in the decode order."""
+    shapes = {}
+    for rank, (parent, order, _) in enumerate(enumerate_tree_arrays(n)):
+        pos = {v: i for i, v in enumerate(order)}
+        shapes.setdefault(tuple(pos[parent[v]] for v in order[:-1]), []).append(rank)
+    return shapes
+
+
+def _description(n, rank):
+    """The sweep's description of the tree of Prüfer rank ``rank``."""
+    seq = ",".join(map(str, prufer_from_rank(n, rank)))
+    return f"prufer[{seq}]" if seq else f"tree(n={n})"
+
+
 class TestHarness:
     def test_clean_run(self):
         run = verify_theorems(6)
@@ -329,8 +347,9 @@ class TestHarness:
         started = []
 
         class Pool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer, initargs):
                 started.append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -402,6 +421,54 @@ class TestHarness:
         assert run.ok
         assert run.counts["leaf-exchange"].checked == run.trees
         assert calls == run.trees
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_memo_hides_no_fault_on_one_labeling(self, monkeypatch, first):
+        # l + 1 for one labeled tree of the shape with the most labelings:
+        # the first in rank order, whose outcome the sweep would store for
+        # the shape, or the last, which would only be tallied
+        n = 6
+        shapes = _shape_ranks(n)
+        ranks = max(shapes.values(), key=len)
+        assert len(ranks) > 10
+        rank = ranks[0] if first else ranks[-1]
+        target, _, _ = prufer_arrays(prufer_from_rank(n, rank), n)
+        forest_values = bounds._forest_values
+
+        def faulty(parent, order, **kwargs):
+            lv, *rest = forest_values(parent, order, **kwargs)
+            return (lv + 1 if parent == target else lv, *rest)
+
+        monkeypatch.setattr(bounds, "_forest_values", faulty)
+        run = verify_theorems(n)
+        assert {r.description.split()[0] for r in run.violations} == {_description(n, rank)}
+        assert "dp-oracle" in {r.check for r in run.violations}
+
+    def test_checks_run_once_per_shape(self, monkeypatch):
+        calls = 0
+        hc_bound_counts = bounds.hc_bound_counts
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return hc_bound_counts(*args)
+
+        monkeypatch.setattr(bounds, "hc_bound_counts", counted)
+        run = verify_theorems(7)
+        assert run.ok
+        assert (calls, run.trees) == (873, 18248)
+        # a shape whose trees fail has each of them checked alone
+        calls = 0
+        run = verify_theorems(7, SweepConfig(upper_slack=1))
+        failing = {(r.n, r.description.split()[0]) for r in run.violations}
+        expected = 0
+        for n in range(2, 8):
+            for ranks in _shape_ranks(n).values():
+                fails = [(n, _description(n, rank)) in failing for rank in ranks]
+                assert all(fails) or not any(fails)
+                expected += len(ranks) if fails[0] else 1
+        assert 873 < expected < run.trees
+        assert calls == expected
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_oracle_calls_do_not_depend_on_the_process_count(self, monkeypatch, processes):
