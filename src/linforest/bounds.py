@@ -427,7 +427,8 @@ def _check_decycling(n, parent, degree, lv, d, ones, slack, nabla):
 
 
 # name, the largest n it runs at (None: every n), the least diameter, check,
-# and the brute-force answer it compares, (n, edges) -> value, or None
+# and the brute-force answer it compares, (n, edges) -> value, or None. Only
+# _shape_table reads the largest n and the least diameter.
 _CHECK_TABLE = (
     ("dp-oracle", SweepConfig.dp_oracle_max_n, 0, _check_dp_oracle,
      lambda n, edges: linear_forest_edges(n, edges)[0]),
@@ -439,11 +440,14 @@ _CHECK_TABLE = (
 )
 CHECKS = tuple(entry[0] for entry in _CHECK_TABLE)
 
+_SKIP = "skip"  # a str, so it compares equal after pickling to a pool worker
 
-def _shape_table(n: int) -> dict[tuple[int, ...], tuple[Optional[int], ...]]:
-    """Map each tree shape on n vertices to its diameter, then to each
-    _CHECK_TABLE row's brute-force answer (None for a row without one or
-    out of scope at n).
+
+def _shape_table(n: int) -> dict[tuple[int, ...], tuple]:
+    """Map each tree shape on n vertices to its diameter, then to one item
+    per _CHECK_TABLE row: _SKIP if the row is out of scope, because n is
+    above its largest n or the diameter below its least one, else the
+    row's brute-force answer (None for a row without one).
 
     A shape renames each vertex of a labeled tree to its position in the
     sweep's order: vertex i's parent is shape[i] > i and the root is n - 1,
@@ -451,8 +455,9 @@ def _shape_table(n: int) -> dict[tuple[int, ...], tuple[Optional[int], ...]]:
     shape[i]) are the tree's edges up to a bijection, in the same order,
     so the oracles give the same values.
     """
-    brutes = [brute if brute and (max_n is None or n <= max_n) else None
-              for _, max_n, _, _, brute in _CHECK_TABLE]
+    # each row's least diameter, None where it is out of scope at n
+    rows = [(min_d if max_n is None or n <= max_n else None, brute)
+            for _, max_n, min_d, _, brute in _CHECK_TABLE]
     table = {}
     for shape in product(*(range(i + 1, n) for i in range(n - 1))):
         height, d = [0] * n, 0
@@ -460,7 +465,9 @@ def _shape_table(n: int) -> dict[tuple[int, ...], tuple[Optional[int], ...]]:
             d = max(d, height[p] + height[v] + 1)
             height[p] = max(height[p], height[v] + 1)
         rel = list(enumerate(shape))
-        table[shape] = (d, *(brute(n, rel) if brute else None for brute in brutes))
+        table[shape] = (d, *(_SKIP if min_d is None or d < min_d
+                             else brute(n, rel) if brute else None
+                             for min_d, brute in rows))
     return table
 
 
@@ -469,35 +476,20 @@ def _sweep_range(
 ) -> tuple[dict[str, CheckCounts], list[BoundReport]]:
     """Worker: check every tree with Prüfer rank in [start, stop).
 
-    Each labeled tree is solved and compared; checks run once per shape,
-    and a tree that differs or fails is checked alone. Each tree stays in
-    its decoded arrays: one pass gives l and the gain counts, and the
-    tree's shape looked up in ``table`` gives the diameter and the
-    brute-force answers. Every check's outcome depends only on the shape
-    and l, so the first tree of a shape runs every check in scope and, if
-    none fails, the shape keeps its l and the checks it skipped and
-    saturated; a later tree of the shape with that l is only tallied, and
-    the tallies join the counts when the range ends. Scope by n is decided
-    once for the range, scope by diameter per shape; a check in scope for
-    the range checks every tree it does not skip.
+    One pass over a tree's decoded arrays gives l and the gain counts; its
+    shape's entry in ``table`` gives the diameter and, per row, _SKIP or
+    the brute-force answer. A check's outcome depends only on the shape and
+    l, so the first tree of a shape runs the rows not skipped and, if none
+    fails, a later tree of the shape with that l is only tallied. A tree
+    whose l differs, or whose shape failed, is checked alone.
     """
     n, start, stop, cfg, table = args
     slack = cfg.upper_slack
     counts = {check: CheckCounts() for check in CHECKS}
-    active = []
-    # a shape's entry holds the diameter, then one answer per row
-    for at, (name, max_n, min_d, check, _) in enumerate(_CHECK_TABLE, 1):
-        if max_n is None or n <= max_n:
-            active.append((name, counts[name], min_d, check, at))
-        else:
-            counts[name].skipped = stop - start
     pos = [0] * n
     violations: list[BoundReport] = []
-    # shape -> None once its first tree failed, else the tally of that
-    # tree's outcome: [l, the checks skipped, the checks saturated, later
-    # trees], one list for all the shapes with that outcome
+    # shape -> [l, the rows saturated, later trees], or None once it failed
     memo: dict[tuple[int, ...], Optional[list]] = {}
-    tallies: dict[tuple, list] = {}
     for rank, (parent, order, degree) in enumerate(enumerate_tree_arrays(n, start, stop), start):
         lv, ones, _, _ = _forest_values(parent, order)
         for i, v in enumerate(order):
@@ -505,20 +497,19 @@ def _sweep_range(
         key = tuple([pos[parent[v]] for v in order[:-1]])
         seen = memo.get(key)
         if seen and seen[0] == lv:
-            seen[3] += 1
+            seen[2] += 1
             continue
-        entry = table[key]
-        d = entry[0]
-        skipped, saturated, failed = [], [], False
-        for name, c, min_d, check, at in active:
-            if d < min_d:
+        d, *answers = table[key]
+        saturated, failed = [], False
+        for (name, _, _, check, _), answer in zip(_CHECK_TABLE, answers):
+            c = counts[name]
+            if answer == _SKIP:
                 c.skipped += 1
-                skipped.append(name)
                 continue
-            sat, failures = check(n, parent, degree, lv, d, ones, slack, entry[at])
+            sat, failures = check(n, parent, degree, lv, d, ones, slack, answer)
             if sat:
                 c.saturated += 1
-                saturated.append(name)
+                saturated.append(c)
             if failures:
                 failed = True
                 c.violations += len(failures)
@@ -529,14 +520,16 @@ def _sweep_range(
                     for suffix, fd, value, lo, hi in failures
                 )
         if key not in memo:
-            outcome = (lv, tuple(skipped), tuple(saturated))
-            memo[key] = None if failed else tallies.setdefault(outcome, [*outcome, 0])
-    for _, skipped, saturated, more in tallies.values():
-        for name in skipped:
-            counts[name].skipped += more
-        for name in saturated:
-            counts[name].saturated += more
-    for _, c, *_ in active:
+            memo[key] = None if failed else [lv, saturated, 0]
+    for key, seen in memo.items():
+        if seen:
+            _, saturated, more = seen
+            for c in saturated:
+                c.saturated += more
+            for c, answer in zip(counts.values(), table[key][1:]):
+                if answer == _SKIP:
+                    c.skipped += more
+    for c in counts.values():
         c.checked = stop - start - c.skipped
     return counts, violations
 

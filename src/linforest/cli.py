@@ -114,19 +114,20 @@ def _nth(i: int) -> Callable[[list[int]], int]:
 
 
 def _perfect_kary_n(params: list[int]) -> Optional[int]:
-    """Summed level by level, None once past the limit: no k**h for a huge h."""
+    """generate.perfect_kary_size, or None above the limit for k >= 2; no
+    k**h for a huge h: n >= 2^h - 1 passes the limit once h passes its
+    bit length."""
     if len(params) != 2:
         return 0
     k, h = params
+    if k < 1 or h < 1:  # the builder rejects them
+        return 0
     if k == 1:
         return h
-    n, level = 0, 1
-    for _ in range(h if k > 1 else 0):  # k < 1: the builder rejects it
-        n += level
-        if n > MAX_CLI_VERTICES:
-            return None
-        level *= k
-    return n
+    if h > MAX_CLI_VERTICES.bit_length():
+        return None
+    n = generate.perfect_kary_size(k, h)
+    return n if n <= MAX_CLI_VERTICES else None
 
 
 def _spider(params: list[int], seed: Optional[int]) -> Graph:

@@ -5,17 +5,20 @@ and test it against the definition, so they are obviously correct. A vertex
 subset is tested for being a forest by stripping, again and again, its
 vertices with at most one neighbor inside it; it is a forest iff nothing is
 left, and a tree iff it is a forest with one edge fewer than vertices.
-Graphs and subsets are integer bitmasks, so a test is a few integer
-operations and builds no objects. The only concession to speed is that
-sizes are tried from the largest plausible bound downward, returning on the
-first hit, which is also what makes the reported witness the
-lexicographically smallest maximizer. Caps, all checked by ``check_cap``,
-guard against accidental exponential blowups.
+The subset searches try sizes from the largest plausible bound downward,
+returning on the first hit, which is also what makes the reported witness
+the lexicographically smallest maximizer. Caps, all checked by
+``check_cap``, guard against accidental exponential blowups.
 
-The kernels (``induced_forest_masks``, ``decycling_masks``,
-``linear_forest_edges``) read only an adjacency or an edge list, so they
-stay independent of the solver they check; the public functions wrap them
-for a Graph.
+The mask kernels (``induced_forest_masks``, ``decycling_masks``,
+``linear_forest_edges``) hold graphs and subsets as integer bitmasks, so
+a test is a few integer operations, and they read only an adjacency or an
+edge list, so they stay independent of the solver they check;
+``max_induced_forest``, ``decycling_number``, ``max_induced_tree`` and
+``max_linear_forest_bf`` wrap them for a Graph. The others are not mask
+kernels: ``longest_path_bf`` and ``is_hamiltonian`` backtrack over
+``Graph.adjacency``, and ``hc_bf`` builds a Graph for every candidate set
+of added edges.
 """
 
 from __future__ import annotations

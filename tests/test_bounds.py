@@ -2,6 +2,7 @@ import concurrent.futures
 import hashlib
 import multiprocessing
 import os
+import pickle
 import re
 from dataclasses import fields
 from fractions import Fraction
@@ -240,6 +241,13 @@ class TestConstructions:
                 g = kary_caterpillar(n, k)
                 assert l_of_tree(g) == (2 * n - 2) // k
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_caterpillar_l_closed_form(self, k):
+        # k = 2 with an odd and an even level count, and every k >= 3 branch
+        for levels in range(1, 11):
+            n = 1 + k * levels
+            assert kary_caterpillar_l(n, k) == l_of_tree(kary_caterpillar(n, k)), n
+
     def test_caterpillar_rejects(self):
         with pytest.raises(ValueError):
             kary_caterpillar(8, 3)
@@ -392,6 +400,15 @@ class TestHarness:
             assert counts == whole_counts
             assert violations == whole_violations
 
+    def test_pickled_table_gives_the_same_outcome(self):
+        # a pool worker started by spawn gets the shape table pickled, so
+        # its skip markers must still read as skips there
+        n = 5
+        table = _shape_table(n)
+        job = (n, 0, n ** (n - 2), SweepConfig(upper_slack=1))
+        copy = pickle.loads(pickle.dumps(table))
+        assert _sweep_range((*job, copy)) == _sweep_range((*job, table))
+
     def test_mutated_reports_pinned(self):
         run = verify_theorems(7, SweepConfig(leaf_exchange_all_pairs=True, upper_slack=1))
         text = "\n".join(r.to_text() for r in run.violations)
@@ -469,6 +486,31 @@ class TestHarness:
                 expected += len(ranks) if fails[0] else 1
         assert 873 < expected < run.trees
         assert calls == expected
+
+    def test_scope_by_n(self, monkeypatch):
+        # decycling's largest n lowered to 5: its oracle answers each shape
+        # for n = 2..5 once, 1 + 2 + 6 + 24 of them, and skips every tree
+        # of n = 6
+        unpatched = verify_theorems(6)
+        calls = 0
+        kernel = bounds.decycling_masks
+
+        def counted(adj):
+            nonlocal calls
+            calls += 1
+            return kernel(adj)
+
+        table = [(name, 5, *rest) if name == "decycling" else (name, max_n, *rest)
+                 for name, max_n, *rest in bounds._CHECK_TABLE]
+        monkeypatch.setattr(bounds, "_CHECK_TABLE", tuple(table))
+        monkeypatch.setattr(bounds, "decycling_masks", counted)
+        run = verify_theorems(6)
+        assert calls == 33
+        assert run.ok
+        assert vars(run.counts["decycling"]) == dict(
+            checked=145, skipped=1296, violations=0, saturated=60)
+        for check in set(bounds.CHECKS) - {"decycling"}:
+            assert run.counts[check] == unpatched.counts[check], check
 
     @pytest.mark.parametrize("processes", [1, 2])
     def test_oracle_calls_do_not_depend_on_the_process_count(self, monkeypatch, processes):

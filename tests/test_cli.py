@@ -6,7 +6,15 @@ from itertools import combinations, product
 
 import pytest
 
-from linforest import Graph, format_graph, path_graph, spider, star_graph
+from linforest import (
+    Graph,
+    SweepConfig,
+    format_graph,
+    path_graph,
+    spider,
+    star_graph,
+    verify_theorems,
+)
 from linforest import cli
 from linforest.cli import main
 
@@ -189,6 +197,27 @@ class TestCompute:
         bad.write_text("3 2\n0 1\n0 1\n")
         assert main(["compute", "l", str(bad)]) == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "line 1: missing header 'n m'"),
+        ("a b\n", "line 1: expected two integers, got 'a b'"),
+        ("-1 0\n", "line 1: n and m must be non-negative"),
+        ("3 2\n0 1\n\n1 2\n", "line 3: blank line inside edge list"),
+        ("3 1\n0 1 2\n", "line 2: expected edge 'u v', got '0 1 2'"),
+        ("3 1\n0 x\n", "line 2: expected two integers, got '0 x'"),
+    ], ids=["empty", "header-words", "header-negative", "blank-line", "three-ids",
+            "edge-word"])
+    def test_hostile_input(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["compute", "l", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_directory_input(self, tmp_path, capsys):
+        assert main(["compute", "l", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {tmp_path}: ")
 
     def test_vertex_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 4)
@@ -389,6 +418,20 @@ class TestVerify:
         assert code == 1
         assert report.read_text().startswith("# linforest-report v1")
 
+    def test_mutated_text_report(self, tmp_path, capsys):
+        """--out in text format holds each violation's line, then the
+        summary lines that stdout shows first."""
+        report = tmp_path / "report.txt"
+        code = main(["verify", "5", "--threads", "1", "--mutate-bounds", "--out", str(report)])
+        assert code == 1
+        run = verify_theorems(5, SweepConfig(upper_slack=1))
+        assert run.violations
+        lines = [r.to_text() for r in run.violations] + run.summary_lines()
+        assert report.read_text() == "\n".join(lines) + "\n"
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[:-1] == run.summary_lines()
+        assert printed[-1] == f"{len(run.violations)} violation(s) found"
+
     def test_over_cap(self, capsys):
         assert main(["verify", "25"]) == 2
         assert "cap" in capsys.readouterr().err
@@ -486,6 +529,16 @@ class TestDot:
         path = write_graph(tmp_path, star_graph(4))
         assert main(["dot", path, "--highlight", "1-2"]) == 2
         assert "not in graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token, message", [
+        ("1:2", "bad highlight edge '1:2', expected 'u-v'"),
+        ("a-b", "bad highlight edge 'a-b'"),
+    ])
+    def test_malformed_highlight(self, tmp_path, capsys, token, message):
+        path = write_graph(tmp_path, path_graph(3))
+        assert main(["dot", path, "--highlight", f"0-1,{token}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -145,6 +145,14 @@ class TestLOfTree:
                 assert l_of_tree(g) == max_linear_forest_value(RootedTree(g, 0))
 
 
+def test_is_linear_forest_rejects_repeats_and_non_edges():
+    g = path_graph(4)
+    assert is_linear_forest(g, [(0, 1), (2, 3)])
+    assert not is_linear_forest(g, [(0, 1), (0, 1)])
+    assert not is_linear_forest(g, [(0, 1), (1, 0)])
+    assert not is_linear_forest(g, [(0, 2)])
+
+
 class TestHc:
     def test_values(self):
         assert hc_of_tree(path_graph(5)) == 1

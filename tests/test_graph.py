@@ -415,6 +415,11 @@ class TestRooting:
             assert tuple(sorted(order[last:])) == tree_center(g)
             assert 2 * (layers - 1) + (len(order) - last) - 1 == d
 
+    @pytest.mark.parametrize("root", [-1, 3])
+    def test_peel_root_out_of_range(self, root):
+        with pytest.raises(ValueError, match=f"^root {root} out of range$"):
+            leaf_peel(path_graph(3), root=root)
+
     @pytest.mark.parametrize("build", [
         tree_center, leaf_peel, pytest.param(functools.partial(leaf_peel, root=0), id="leaf_peel-0"),
         root_at_center, tree_diameter,
