@@ -18,9 +18,9 @@ from .graph import (
     Graph,
     NotATree,
     ParseError,
+    _parse_lines,
     format_graph,
     line_graph,
-    parse_graph,
     root_at_center,
     to_dot,
     tree_diameter,
@@ -86,16 +86,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_graph(path: str) -> Graph:
+    """Parse the graph file, or stdin for "-", one line at a time: a
+    malformed file fails at its first fault, before the rest is read."""
     try:
         if path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            return _parse_lines(sys.stdin, MAX_CLI_VERTICES)
+        with open(path, "r", encoding="utf-8") as fh:
+            return _parse_lines(fh, MAX_CLI_VERTICES)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
-    try:
-        return parse_graph(text, max_n=MAX_CLI_VERTICES)
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import gc
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -156,16 +156,24 @@ def parse_graph(text: str, *, max_n: Optional[int] = None) -> Graph:
     With ``max_n``, a header declaring more vertices is rejected before any
     per-vertex storage is allocated.
     """
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    return _parse_lines((text,), max_n)
+
+
+def _parse_lines(chunks: Iterable[str], max_n: Optional[int]) -> Graph:
+    """parse_graph on a document given as pieces that each end at a line
+    break: the whole text, or the lines of an open file. Lines are read one
+    at a time, so the first fault stops the read."""
+    lines = chain.from_iterable(map(str.splitlines, chunks))
+    first = next(lines, "")
+    if not first.strip():
         raise ParseError("line 1: missing header 'n m'")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 2:
-        raise ParseError(f"line 1: expected header 'n m', got {lines[0].strip()!r}")
+        raise ParseError(f"line 1: expected header 'n m', got {first.strip()!r}")
     try:
         n, m = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError(f"line 1: expected two integers, got {lines[0].strip()!r}") from None
+        raise ParseError(f"line 1: expected two integers, got {first.strip()!r}") from None
     if n < 0 or m < 0:
         raise ParseError("line 1: n and m must be non-negative")
     if max_n is not None and n > max_n:
@@ -174,9 +182,9 @@ def parse_graph(text: str, *, max_n: Optional[int] = None) -> Graph:
     edges: list[Edge] = []
     seen: set[Edge] = set()
     lineno = 1
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in enumerate(lines, start=2):
         if not raw.strip():
-            if any(rest.strip() for rest in lines[lineno:]):
+            if any(rest.strip() for rest in lines):
                 raise ParseError(f"line {lineno}: blank line inside edge list")
             break
         parts = raw.split()
@@ -199,7 +207,7 @@ def parse_graph(text: str, *, max_n: Optional[int] = None) -> Graph:
             raise ParseError(f"line {lineno}: more than {m} edges declared in header")
     if len(edges) != m:
         raise ParseError(f"line {lineno}: header declares {m} edges, found {len(edges)}")
-    del lines, seen  # before Graph holds its own copy of the edges
+    del seen  # before Graph holds its own copy of the edges
     return Graph(n, edges, validate=False)
 
 

@@ -1,24 +1,23 @@
 """Brute-force ground truth for every invariant, on small instances.
 
 These solvers are deliberately naive: they enumerate every candidate subset
-and test it against the definition, so they are obviously correct. A vertex
-subset is tested for being a forest by stripping, again and again, its
-vertices with at most one neighbor inside it; it is a forest iff nothing is
-left, and a tree iff it is a forest with one edge fewer than vertices.
+or path and test it against the definition, so they are obviously correct.
+A vertex subset is tested for being a forest by stripping, again and
+again, its vertices with at most one neighbor inside it; it is a forest
+iff nothing is left, and a tree iff it is a forest with one edge fewer
+than vertices.
 The subset searches try sizes from the largest plausible bound downward,
 returning on the first hit, which is also what makes the reported witness
 the lexicographically smallest maximizer. Caps, all checked by
 ``check_cap``, guard against accidental exponential blowups.
 
 The mask kernels (``induced_forest_masks``, ``decycling_masks``,
-``linear_forest_edges``) hold graphs and subsets as integer bitmasks, so
-a test is a few integer operations, and they read only an adjacency or an
-edge list, so they stay independent of the solver they check;
-``max_induced_forest``, ``decycling_number``, ``max_induced_tree`` and
-``max_linear_forest_bf`` wrap them for a Graph. The others are not mask
-kernels: ``longest_path_bf`` and ``is_hamiltonian`` backtrack over
-``Graph.adjacency``, and ``hc_bf`` builds a Graph for every candidate set
-of added edges.
+``linear_forest_edges`` and the path kernel ``_path_layers``) hold graphs
+and subsets as integer bitmasks, so a test is a few integer operations,
+and they read only an adjacency or an edge list, so they stay independent
+of the solver they check; the public oracles wrap them for a Graph.
+``longest_path_bf``, ``is_hamiltonian`` and ``hc_bf`` all read the layers
+of simple paths that ``_path_layers`` builds.
 """
 
 from __future__ import annotations
@@ -56,7 +55,11 @@ def check_cap(count: int, cap: Optional[int], default: int, name: str) -> None:
 
 def adjacency_masks(g: Graph) -> list[int]:
     """Bit w of entry v is set iff v and w are adjacent."""
-    return [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def _is_forest(adj: Sequence[int], members: Sequence[int], mask: int) -> bool:
@@ -163,82 +166,76 @@ def max_linear_forest_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
     return OracleResult(value=size, witness=tuple(g.edges[i] for i in idxs))
 
 
+def _path_layers(adj: Sequence[int], starts: int) -> list[dict[int, int]]:
+    """The simple paths that start in the vertex mask ``starts``, by
+    length: entry k maps the vertex mask of each such path with k edges to
+    the mask of the vertices it can end at (the Bellman / Held-Karp subset
+    DP). Only masks that paths reach are stored: O(n^2) on a path or cycle."""
+    layer = {1 << v: 1 << v for v in range(len(adj)) if starts >> v & 1}
+    layers = []
+    while layer:
+        layers.append(layer)
+        longer: dict[int, int] = {}
+        for mask, ends in layer.items():
+            while ends:
+                end = ends & -ends
+                ends ^= end
+                free = adj[end.bit_length() - 1] & ~mask
+                while free:
+                    w = free & -free
+                    free ^= w
+                    longer[mask | w] = longer.get(mask | w, 0) | w
+        layer = longer
+    return layers
+
+
 def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
-    """Longest simple path, in edges, by exhaustive DFS over partial paths.
-
-    The witness is the vertex sequence of the first maximum found when
-    start vertices and neighbors are explored in ascending order, with the
-    sequence direction normalized.
-    """
+    """Longest simple path, in edges: the number of path layers from every
+    start, less one. The witness is the lexicographically smallest longest
+    vertex sequence (never above its reverse), built greedily: each vertex
+    is the smallest neighbor of the last that ends a path of the next layer
+    down on vertices not yet placed (every vertex starts paths, so a path's
+    ends are its starts)."""
     check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
-    best_len = 0
-    best_path: tuple[int, ...] = (0,) if g.n else ()
-    visited = bytearray(g.n)
+    adj = adjacency_masks(g)
+    layers = _path_layers(adj, (1 << g.n) - 1)
     path: list[int] = []
-
-    def extend(u: int) -> None:
-        nonlocal best_len, best_path
-        visited[u] = 1
-        path.append(u)
-        if len(path) - 1 > best_len:
-            best_len = len(path) - 1
-            fwd = tuple(path)
-            best_path = min(fwd, fwd[::-1])
-        for w in g.adjacency[u]:
-            if not visited[w]:
-                extend(w)
-        path.pop()
-        visited[u] = 0
-
-    for start in range(g.n):
-        extend(start)
-    return OracleResult(value=best_len, witness=best_path)
+    placed, nbrs = 0, (1 << g.n) - 1  # the first vertex may be any
+    for layer in reversed(layers):
+        low = min(at & nbrs & -(at & nbrs) for mask, at in layer.items()
+                  if at & nbrs and not mask & placed)
+        path.append(low.bit_length() - 1)
+        placed, nbrs = placed | low, adj[path[-1]]
+    return OracleResult(value=max(len(path) - 1, 0), witness=tuple(path))
 
 
 def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
-    """Hamiltonian-cycle existence by backtracking (n >= 3 required for a
-    cycle)."""
+    """Hamiltonian-cycle existence (n >= 3 required for a cycle): a path
+    from vertex 0 covers every vertex and ends next to vertex 0."""
     check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
-    n = g.n
-    if n < 3:
-        return False
-    if any(g.degree(v) < 2 for v in range(n)) or not g.is_connected():
-        return False
-    adj = g.adjacency
-    visited = bytearray(n)
-    visited[0] = 1
-
-    def extend(u: int, used: int) -> bool:
-        if used == n:
-            return 0 in adj[u]
-        for w in adj[u]:
-            if not visited[w]:
-                visited[w] = 1
-                if extend(w, used + 1):
-                    return True
-                visited[w] = 0
-        return False
-
-    return extend(0, 1)
+    adj = adjacency_masks(g)
+    layers = _path_layers(adj, 1)
+    return g.n >= 3 and len(layers) == g.n and bool(layers[-1][(1 << g.n) - 1] & adj[0])
 
 
 def hc_bf(g: Graph, cap: Optional[int] = None) -> int:
-    """Minimum number of non-edges whose addition makes g Hamiltonian,
-    searched by increasing subset size."""
+    """Minimum number of non-edges whose addition makes g Hamiltonian: 0
+    if g is, else the least number of disjoint paths that cover g. k such
+    paths close into a cycle with k added non-edges (an edge of g between
+    them would give a smaller cover), and the k added edges of such a cycle
+    leave k paths. A mask in any path layer is covered by one path."""
     check_cap(g.n, cap, DEFAULT_HC_CAP, "n")
     n = g.n
     if n < 3:
         raise ValueError("hamiltonian completion needs n >= 3")
-    if is_hamiltonian(g, cap=n):
-        return 0
-    present = g.edge_set()
-    non_edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
-    ]
-    for k in range(1, len(non_edges) + 1):
-        if g.m + k < n:  # a Hamiltonian graph needs at least n edges
-            continue
-        for extra in combinations(non_edges, k):
-            if is_hamiltonian(Graph(n, g.edges + extra, validate=False), cap=n):
-                return k
-    raise ValueError("graph cannot be completed to a Hamiltonian cycle")
+    by_low: dict[int, list[int]] = {}  # the one-path masks by lowest vertex
+    for layer in _path_layers(adjacency_masks(g), (1 << n) - 1):
+        for mask in layer:
+            by_low.setdefault(mask & -mask, []).append(mask)
+    # breadth first over the vertex sets left to cover after k paths; the
+    # path that covers the lowest vertex left has it as its lowest vertex
+    left, k = {(1 << n) - 1}, 0
+    while 0 not in left:
+        left = {s ^ m for s in left for m in by_low[s & -s] if not m & ~s}
+        k += 1
+    return 0 if k == 1 and is_hamiltonian(g, cap=n) else k

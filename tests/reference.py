@@ -4,9 +4,12 @@ None of these runs outside the tests. Each is the direct, slower form of
 something the package computes another way: depths and children of a
 rooted tree, the quadratic solver that scores every candidate child pair,
 leaf exchange as a rewrite of the sweep's parent and order arrays, the
-completion-bound counts over an edge list, and spanning trees by
-filtering edge subsets. pytest does not collect this
-module; tests import it with ``from reference import ...``.
+completion-bound counts over an edge list, spanning trees by
+filtering edge subsets, and the three path oracles as they were before
+the path-layer kernel: the longest path and Hamiltonicity by
+backtracking, and hc by trying every set of added non-edges. pytest does
+not collect this module; tests import it with ``from reference import
+...``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,12 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from linforest.forest import DpRecord, _reconstruct
 from linforest.graph import Edge, Graph, RootedTree, _edges_acyclic
+from linforest.oracle import (
+    DEFAULT_HC_CAP,
+    DEFAULT_VERTEX_CAP,
+    OracleResult,
+    check_cap,
+)
 
 
 def depth(t: RootedTree) -> tuple[int, ...]:
@@ -124,3 +133,84 @@ def spanning_trees(g: Graph) -> Iterator[Graph]:
     for edges in combinations(g.edges, n - 1):
         if _edges_acyclic(n, edges):
             yield Graph(n, edges, validate=False)
+
+
+def longest_path_bf(g: Graph, cap: Optional[int] = None) -> OracleResult:
+    """Longest simple path, in edges, by exhaustive DFS over partial paths.
+
+    The witness is the vertex sequence of the first maximum found when
+    start vertices and neighbors are explored in ascending order, with the
+    sequence direction normalized.
+    """
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
+    best_len = 0
+    best_path: tuple[int, ...] = (0,) if g.n else ()
+    visited = bytearray(g.n)
+    path: list[int] = []
+
+    def extend(u: int) -> None:
+        nonlocal best_len, best_path
+        visited[u] = 1
+        path.append(u)
+        if len(path) - 1 > best_len:
+            best_len = len(path) - 1
+            fwd = tuple(path)
+            best_path = min(fwd, fwd[::-1])
+        for w in g.adjacency[u]:
+            if not visited[w]:
+                extend(w)
+        path.pop()
+        visited[u] = 0
+
+    for start in range(g.n):
+        extend(start)
+    return OracleResult(value=best_len, witness=best_path)
+
+
+def is_hamiltonian(g: Graph, cap: Optional[int] = None) -> bool:
+    """Hamiltonian-cycle existence by backtracking (n >= 3 required for a
+    cycle)."""
+    check_cap(g.n, cap, DEFAULT_VERTEX_CAP, "n")
+    n = g.n
+    if n < 3:
+        return False
+    if any(g.degree(v) < 2 for v in range(n)) or not g.is_connected():
+        return False
+    adj = g.adjacency
+    visited = bytearray(n)
+    visited[0] = 1
+
+    def extend(u: int, used: int) -> bool:
+        if used == n:
+            return 0 in adj[u]
+        for w in adj[u]:
+            if not visited[w]:
+                visited[w] = 1
+                if extend(w, used + 1):
+                    return True
+                visited[w] = 0
+        return False
+
+    return extend(0, 1)
+
+
+def hc_bf(g: Graph, cap: Optional[int] = None) -> int:
+    """Minimum number of non-edges whose addition makes g Hamiltonian,
+    searched by increasing subset size."""
+    check_cap(g.n, cap, DEFAULT_HC_CAP, "n")
+    n = g.n
+    if n < 3:
+        raise ValueError("hamiltonian completion needs n >= 3")
+    if is_hamiltonian(g, cap=n):
+        return 0
+    present = g.edge_set()
+    non_edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present
+    ]
+    for k in range(1, len(non_edges) + 1):
+        if g.m + k < n:  # a Hamiltonian graph needs at least n edges
+            continue
+        for extra in combinations(non_edges, k):
+            if is_hamiltonian(Graph(n, g.edges + extra, validate=False), cap=n):
+                return k
+    raise ValueError("graph cannot be completed to a Hamiltonian cycle")

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import io
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -17,6 +19,7 @@ from linforest import (
 )
 from linforest import cli
 from linforest.cli import main
+from linforest.graph import ParseError, parse_graph
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -566,3 +569,50 @@ def test_usage_error_is_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_reader_stops_at_the_first_fault(tmp_path, capsys):
+    """A 4 MB file whose third line repeats its one edge fails there, and
+    nothing after that line is kept: the traced peak stays under 1 MiB.
+    Read whole and split into lines first, it peaked at 69 MiB (Python
+    3.11)."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 1\n" + "0 1\n" * 10**6)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code = main(["compute", "l", str(bad)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3: duplicate edge 0 1\n"
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("text", [
+    "3 2\r\n0 1\r\n1 2\r\n",
+    "3 2\n0 1\x0c1 2\n",
+    "3 2\n0 1\r1 2\n\n\n",
+    "3 2\n0 1\n\n \n1 2\n",
+    "3 2\n0 1\u20281 1\n",
+    "3 1\n0 1\n1 2\n2 0\n",
+], ids=["crlf", "form-feed", "cr-then-blank", "blank-inside", "line-separator",
+        "too-many"])
+def test_reader_breaks_lines_as_parse_graph_does(tmp_path, monkeypatch, text):
+    """The CLI reads a file, or stdin, one line at a time; every line
+    break that str.splitlines knows still ends a line, so the graph or the
+    message is the one parse_graph gives for the whole text."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    try:
+        expected = format_graph(parse_graph(text))
+    except ParseError as exc:
+        expected = str(exc)
+    for source in (str(path), "-"):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        try:
+            got = format_graph(cli._read_graph(source))
+        except cli.CliError as exc:
+            got = str(exc).removeprefix(f"{source}: ")
+        assert got == expected
