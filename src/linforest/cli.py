@@ -97,6 +97,8 @@ def _read_graph(path: str) -> Graph:
         raise CliError(f"cannot read {path}: {exc}") from exc
     except ParseError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc.reason}") from exc
 
 
 def _write(text: str, out: Optional[str]) -> None:

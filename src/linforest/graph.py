@@ -284,20 +284,22 @@ def _edges_acyclic(n: int, edges: Iterable[Edge]) -> bool:
 class RootedTree:
     """A tree with a designated root and parent pointers: the leaf peel
     held at the root, so ``order`` lists children before parents with the
-    root last, as ``prufer_arrays`` does."""
+    root last, as ``prufer_arrays`` does. With no root given, the root is
+    the center (the smaller of two) and the arrays are those of the
+    unrooted peel, which already ends there."""
 
     __slots__ = ("graph", "root", "parent", "order")
 
-    def __init__(self, graph: Graph, root: int):
+    def __init__(self, graph: Graph, root: Optional[int] = None):
         try:
             parent, order, _, _ = leaf_peel(graph, root)
         except NotATree:
-            if graph.m != graph.n - 1:
+            if root is None or graph.m != graph.n - 1:  # the peel's own message
                 raise
             # n-1 edges and a cycle: a second component
             raise NotATree("not a tree: graph is disconnected") from None
         self.graph = graph
-        self.root = root
+        self.root = order[-1]
         self.parent = tuple(parent)
         self.order = tuple(order)
 
@@ -320,6 +322,11 @@ def leaf_peel(
     ``order[last:]`` is the last layer stripped, which is the center, and
     ``layers`` counts the layers stripped. Linear time. Raises NotATree
     for every graph that is not a tree.
+
+    With no ``root``, the root is the center, the smaller of two, and the
+    arrays equal those of ``leaf_peel(g, center)``: a one-vertex center is
+    stripped last anyway, and when the peel ends on the larger of two,
+    the pair swaps its parent link and its places in ``order``.
 
     A given ``root`` starts with its degree one higher, so it is queued
     only when no other vertex is left and comes last; ``last`` and
@@ -355,6 +362,11 @@ def leaf_peel(
                 break
     if len(order) != n:
         raise NotATree("not a tree: graph contains a cycle")
+    if root is None and n - last == 2 and order[-2] < order[-1]:
+        # root the two-vertex center at the smaller id
+        small, large = order[-2], order[-1]
+        order[-2], order[-1] = large, small
+        parent[small], parent[large] = None, small
     return parent, order, last, layers
 
 
@@ -365,8 +377,9 @@ def tree_center(g: Graph) -> tuple[int, ...]:
 
 
 def root_at_center(g: Graph) -> RootedTree:
-    """Root a tree at its center, breaking a two-vertex tie by smaller id."""
-    return RootedTree(g, tree_center(g)[0])
+    """Root a tree at its center, breaking a two-vertex tie by smaller id:
+    the arrays of one unrooted leaf peel, which ends on the center."""
+    return RootedTree(g)
 
 
 def tree_diameter(g: Graph) -> int:

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import io
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -221,6 +222,30 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_not_utf8_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"2 1\n0 1\n\xff\n")
+        assert main(["compute", "l", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}: not UTF-8 text: invalid start byte\n"
+
+    def test_not_utf8_stdin(self, capsys, monkeypatch):
+        data = b"2 1\n0 1\n\xff\n"
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert main(["compute", "l", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: -: not UTF-8 text: invalid start byte\n"
+        # the console script with stdin decoded strictly: no traceback, and
+        # not exit 1, which means violations found
+        proc = subprocess.run(
+            [sys.executable, "-m", "linforest.cli", "compute", "l", "-"], input=data,
+            capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr == b"error: -: not UTF-8 text: invalid start byte\n"
 
     def test_vertex_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 4)

@@ -17,11 +17,14 @@ from linforest import (
     leaf_peel,
     line_graph,
     parse_graph,
+    perfect_kary,
     random_tree,
     root_at_center,
     spider,
     star_graph,
     path_graph,
+    t2_star,
+    t_star,
     to_dot,
     tree_center,
     tree_diameter,
@@ -397,6 +400,33 @@ class TestRooting:
         assert digest.hexdigest() == (
             "20fef2b9a3621b1c91a249955e054ee560f351c4484afacc052bb1dca8416474"
         )
+
+    def test_center_rooting_is_rooted_tree_at_center(self):
+        """root_at_center takes its arrays from the unrooted peel; they
+        equal, order included, those of the peel held at the center, on
+        one- and two-vertex centers."""
+        def same(g):
+            t, held = root_at_center(g), RootedTree(g, tree_center(g)[0])
+            return (t.root, t.parent, t.order) == (held.root, held.parent, held.order)
+
+        for n in range(1, 9):
+            assert all(same(g) for g in enumerate_trees(n)), n
+        for g in (t_star(10**5, 8), t2_star(10**5, 9), perfect_kary(3, 10), spider([1000] * 100),
+                  *(random_tree(10**5, seed) for seed in (1, 2, 3))):
+            assert same(g), g
+
+    def test_center_rooting_peels_once(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return leaf_peel(*args)
+
+        monkeypatch.setattr("linforest.graph.leaf_peel", counted)
+        for g in (path_graph(6), path_graph(7)):  # a two- and a one-vertex center
+            calls.clear()
+            root_at_center(g)
+            assert len(calls) == 1
 
     def test_center_is_min_eccentricity(self):
         for n in range(1, 9):
