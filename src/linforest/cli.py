@@ -8,6 +8,7 @@ Exit codes are a stable contract: 0 success/verified, 1 violations found,
 from __future__ import annotations
 
 import argparse
+import codecs
 import os
 import sys
 from contextlib import suppress
@@ -90,7 +91,11 @@ def _read_graph(path: str) -> Graph:
     malformed file fails at its first fault, before the rest is read."""
     try:
         if path == "-":
-            return _parse_lines(sys.stdin, MAX_CLI_VERTICES)
+            # stdin's bytes, decoded strictly as a file's are, whatever error
+            # handler sys.stdin has; a stand-in with no bytes is read as text
+            buffer = getattr(sys.stdin, "buffer", None)
+            lines = sys.stdin if buffer is None else codecs.iterdecode(buffer, "utf-8")
+            return _parse_lines(lines, MAX_CLI_VERTICES)
         with open(path, "r", encoding="utf-8") as fh:
             return _parse_lines(fh, MAX_CLI_VERTICES)
     except OSError as exc:

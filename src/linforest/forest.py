@@ -10,9 +10,11 @@ and v's own gain is 1 iff ones(v) < 2, base(v) being the sum of the
 children's f. One bottom-up pass over parent pointers counts ``ones``,
 which is all the value needs; the solver also records each vertex's two
 best children. One reconstruction turns those choices into both forests:
-a walk down marks the joined children for the free root, and the
-constrained forest re-decides only below the marks that capping the root
-at one edge flips.
+a walk down joins every vertex to its top child, and to its second child
+too unless the vertex is joined to its parent. Capping the root at one
+edge flips the root's mark, which flips only its second child's mark,
+which flips only that child's second child's, and so on: the constrained
+forest is the free one with the marks along that one chain flipped.
 """
 
 from __future__ import annotations
@@ -130,35 +132,28 @@ def _forest_values(
 
 
 def _reconstruct(
-    t: RootedTree, single: Sequence[int], pair_a: Sequence[int], pair_b: Sequence[int]
+    t: RootedTree, top: Sequence[int], second: Sequence[int]
 ) -> tuple[LinearForest, LinearForest]:
-    """Both forests from the choice arrays: ``single`` is the child a vertex
-    joins when it may take one edge, (pair_a, pair_b) when two; -1 marks
-    an unused slot. One walk down, over the order reversed, marks the
-    children joined to their parents for the free root; a joined vertex
-    may take only one more edge, so the mark also limits it. The
-    constrained forest caps the root at one edge, which flips only the
-    marks below it that change their parent's decision, so only those are
-    re-decided. An edge is in a forest iff its child end is marked.
-    max_linear_forest passes (top, top, second); the quadratic reference
-    solver in ``tests/reference.py`` passes its own three arrays."""
+    """Both forests from the solver's choice arrays, -1 marking an unused
+    slot. A walk down, over the order reversed, marks the children joined
+    to their parents for the free root: each vertex joins its top child,
+    and its second child iff it is not itself joined to its parent.
+    Capping the root flips its mark, which flips the mark of second[root]
+    and of no other child; that flips only second[second[root]]'s, and so
+    on down, so the constrained forest is the free one with the marks
+    along that one chain flipped. An edge is in a forest iff its child end
+    is marked."""
     parent = t.parent
     joined = bytearray(t.n + 1)  # joined[-1] absorbs the unused slots
     for v in reversed(t.order):
-        if joined[v]:
-            joined[single[v]] = 1
-        else:
-            joined[pair_a[v]] = joined[pair_b[v]] = 1
+        joined[top[v]] = 1
+        if not joined[v]:
+            joined[second[v]] = 1
     capped = bytearray(joined)
-    capped[t.root] = 1
-    flipped = [t.root]
-    for v in flipped:  # grows while it is walked
-        before = {single[v]} if joined[v] else {pair_a[v], pair_b[v]}
-        after = {single[v]} if capped[v] else {pair_a[v], pair_b[v]}
-        for c in before ^ after:
-            if c >= 0:
-                capped[c] ^= 1
-                flipped.append(c)
+    v = t.root
+    while v >= 0:
+        capped[v] ^= 1
+        v = second[v]
     edges = t.graph.edges
     child = [v if parent[v] == u else u for u, v in edges]
     return (
@@ -176,7 +171,7 @@ def max_linear_forest(t: RootedTree) -> DpRecord:
     smaller ids.
     """
     _, _, top, second = _forest_values(t.parent, t.order, choices=True)
-    best, best_constrained = _reconstruct(t, top, top, second)
+    best, best_constrained = _reconstruct(t, top, second)
     return DpRecord(best=best, best_constrained=best_constrained)
 
 

@@ -148,21 +148,21 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def parse_graph(text: str, *, max_n: Optional[int] = None) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse an edge-list document: a header line "n m", then m lines "u v".
 
     Rejects self-loops, duplicate edges, out-of-range ids, and any mismatch
     between the header and the body; errors name the offending 1-based line.
-    With ``max_n``, a header declaring more vertices is rejected before any
-    per-vertex storage is allocated.
     """
-    return _parse_lines((text,), max_n)
+    return _parse_lines((text,), None)
 
 
 def _parse_lines(chunks: Iterable[str], max_n: Optional[int]) -> Graph:
     """parse_graph on a document given as pieces that each end at a line
     break: the whole text, or the lines of an open file. Lines are read one
-    at a time, so the first fault stops the read."""
+    at a time, so the first fault stops the read. With ``max_n``, a header
+    declaring more vertices is rejected before any per-vertex storage is
+    allocated."""
     lines = chain.from_iterable(map(str.splitlines, chunks))
     first = next(lines, "")
     if not first.strip():

@@ -2,8 +2,10 @@
 
 None of these runs outside the tests. Each is the direct, slower form of
 something the package computes another way: depths and children of a
-rooted tree, the quadratic solver that scores every candidate child pair,
-leaf exchange as a rewrite of the sweep's parent and order arrays, the
+rooted tree, the quadratic solver that scores every candidate child pair
+and builds both of its forests by two plain walks down (the root free,
+then the root capped) in place of the package's second-child chain, leaf
+exchange as a rewrite of the sweep's parent and order arrays, the
 completion-bound counts over an edge list, spanning trees by
 filtering edge subsets, and the three path oracles as they were before
 the path-layer kernel: the longest path and Hamiltonicity by
@@ -17,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
-from linforest.forest import DpRecord, _reconstruct
+from linforest.forest import DpRecord, LinearForest
 from linforest.graph import Edge, Graph, RootedTree, _edges_acyclic
 from linforest.oracle import (
     DEFAULT_HC_CAP,
@@ -49,8 +51,9 @@ def children(t: RootedTree) -> tuple[tuple[int, ...], ...]:
 def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
     """Quadratic-per-vertex solver that scores every candidate: the root
     isolated, joined to each single child, or to each child pair. It uses
-    no gain lemma, and must agree with max_linear_forest exactly,
-    reconstructed edges included.
+    no gain lemma and none of the package's reconstruction: it builds both
+    forests itself, one walk down per forest. It must agree with
+    max_linear_forest exactly, reconstructed edges included.
     """
     n = t.n
     kids_of = children(t)
@@ -85,8 +88,30 @@ def max_linear_forest_allpairs(t: RootedTree) -> DpRecord:
         else:
             f[v] = fc[v]
             pair_a[v] = best_single
-    best, best_constrained = _reconstruct(t, single, pair_a, pair_b)
-    return DpRecord(best=best, best_constrained=best_constrained)
+    return DpRecord(best=_walk_down(t, single, pair_a, pair_b, 0),
+                    best_constrained=_walk_down(t, single, pair_a, pair_b, 1))
+
+
+def _walk_down(
+    t: RootedTree, single: Sequence[int], pair_a: Sequence[int],
+    pair_b: Sequence[int], root_joined: int,
+) -> LinearForest:
+    """One forest from the quadratic solver's choices, by a plain walk down
+    from the root: a vertex joined to its parent joins ``single``, any
+    other (pair_a, pair_b). With ``root_joined`` the root counts as joined
+    to a parent, which caps it at one edge. An edge is in the forest iff
+    its child end is joined."""
+    parent = t.parent
+    joined = bytearray(t.n + 1)  # joined[-1] absorbs the unused slots
+    joined[t.root] = root_joined
+    for v in reversed(t.order):
+        if joined[v]:
+            joined[single[v]] = 1
+        else:
+            joined[pair_a[v]] = joined[pair_b[v]] = 1
+    return LinearForest(tuple(
+        (u, v) for u, v in t.graph.edges if joined[v if parent[v] == u else u]
+    ))
 
 
 def leaf_exchange_arrays(

@@ -238,14 +238,16 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: -: not UTF-8 text: invalid start byte\n"
-        # the console script with stdin decoded strictly: no traceback, and
-        # not exit 1, which means violations found
-        proc = subprocess.run(
-            [sys.executable, "-m", "linforest.cli", "compute", "l", "-"], input=data,
-            capture_output=True, env={**os.environ, "PYTHONIOENCODING": "utf-8:strict"},
-        )
-        assert (proc.returncode, proc.stdout) == (2, b"")
-        assert proc.stderr == b"error: -: not UTF-8 text: invalid start byte\n"
+        # the console script: no traceback, and not exit 1, which means
+        # violations found. stdin's bytes are decoded strictly, as a file's,
+        # even where the interpreter would turn the bad byte into a surrogate
+        for handler in ("strict", "surrogateescape"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "linforest.cli", "compute", "l", "-"], input=data,
+                capture_output=True, env={**os.environ, "PYTHONIOENCODING": f"utf-8:{handler}"},
+            )
+            assert (proc.returncode, proc.stdout) == (2, b"")
+            assert proc.stderr == b"error: -: not UTF-8 text: invalid start byte\n"
 
     def test_vertex_limit(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CLI_VERTICES", 4)
@@ -345,11 +347,14 @@ class TestCompute:
 
     def test_of_linegraph_built_when_it_may_be_a_tree(self, tmp_path, capsys):
         """L(P25) = P24 has one edge fewer than vertices, so it is built and
-        the tree solver answers, whatever the oracle's cap."""
+        the tree solver answers, whatever the oracle's cap. Its 24 vertices
+        are above hc_bf's cap of 9, so only the tree answer can give hc."""
         path = write_graph(tmp_path, path_graph(25))
         for cap in ([], ["--cap-oracle", "0"]):
             assert main(["compute", "l", path, "--of-linegraph", *cap]) == 0
             assert capsys.readouterr().out.startswith("l=23 witness=")
+            assert main(["compute", "hc", path, "--of-linegraph", *cap]) == 0
+            assert capsys.readouterr().out == "hc=1\n"
 
     def test_trees_answered_without_is_tree(self, tmp_path, capsys, monkeypatch):
         """The solver's own peel is the tree test: no command calls
