@@ -5,8 +5,8 @@ cycle-growing construction meets the upper bound exactly."""
 
 from linforest import (
     Graph,
+    hc_bounds,
     hc_construct,
-    hc_lower_bound,
     hc_of_tree,
     is_hamiltonian,
     path_graph,
@@ -27,16 +27,16 @@ samples = [
 
 print("tree                 lower   hc  out-1  constructed  hamiltonian?")
 for name, g in samples:
-    stats = tree_stats(root_at_center(g))
+    out, excess = tree_stats(root_at_center(g))
     hc = hc_of_tree(g)
-    lower = hc_lower_bound(stats)
+    lower, upper = hc_bounds(out, sum(excess))
     comp = hc_construct(g)
     closed = Graph(g.n, g.edges + comp.added_edges)
     ham = is_hamiltonian(closed)
-    assert lower <= hc <= stats.out - 1
-    assert len(comp.added_edges) == stats.out - 1
+    assert lower <= hc <= upper
+    assert len(comp.added_edges) == upper
     print(
-        f"{name:<20} {lower:>5} {hc:>4} {stats.out - 1:>6} "
+        f"{name:<20} {lower:>5} {hc:>4} {upper:>6} "
         f"{len(comp.added_edges):>11}  {ham}"
     )
 

@@ -7,13 +7,14 @@ where a bound is a true rational. No floating point.
 
 from __future__ import annotations
 
+import io
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import ClassVar, Iterable, Optional
 
-from .forest import _forest_values, _hc_lower, _value_without_leaf
+from .forest import _forest_values, _value_without_leaf
 from .generate import (
     ENUMERATION_CAP,
     enumerate_tree_arrays,
@@ -92,6 +93,19 @@ def kary_bounds_decycling(n: int, k: int) -> tuple[Fraction, Fraction]:
     k-ary tree: the complement (n - 1 - bound) of kary_bounds_l."""
     low, high = kary_bounds_l(n, k)
     return n - 1 - high, n - 1 - low
+
+
+def hc_bounds(out: int, ex_sum: int) -> tuple[int, int]:
+    """Bounds ceil((out + ex_sum)/2) <= hc <= out - 1 on the Hamiltonian
+    completion number of a tree with out leaves and excess sum ex_sum (see
+    graph.hc_bound_counts). Every leaf, and every crowded-out low-degree
+    neighbor, must meet a new edge on a Hamiltonian cycle; hc_construct
+    adds out - 1 edges."""
+    if out < 2:
+        raise ValueError(f"completion bounds need out >= 2 leaves, got {out}")
+    if ex_sum < 0:
+        raise ValueError(f"completion bounds need ex_sum >= 0, got {ex_sum}")
+    return (out + ex_sum + 1) // 2, out - 1
 
 
 def perfect_kary_height(n: int, k: int) -> int:
@@ -304,16 +318,20 @@ REPORT_COLUMNS = ("check", "description", "n", "d", "value", "lower", "upper", "
 
 
 def reports_to_csv(reports: Iterable[BoundReport]) -> str:
-    """Serialize reports as CSV with a schema-version header line."""
-    lines = [f"# {REPORT_SCHEMA}", ",".join(REPORT_COLUMNS)]
-    for r in reports:
-        d = "" if r.d is None else str(r.d)
-        lo = "" if r.lower is None else str(r.lower)
-        hi = "" if r.upper is None else str(r.upper)
-        lines.append(
-            f"{r.check},{r.description},{r.n},{d},{r.value},{lo},{hi},{int(r.ok)}"
-        )
-    return "\n".join(lines) + "\n"
+    """Serialize reports as CSV with a schema-version header line. A field
+    that holds a comma, such as a description ``prufer[0,1]``, is quoted;
+    None is written as an empty field."""
+    import csv  # here, so that `import linforest` does not load it
+
+    buf = io.StringIO()
+    buf.write(f"# {REPORT_SCHEMA}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(REPORT_COLUMNS)
+    writer.writerows(
+        (r.check, r.description, r.n, r.d, r.value, r.lower, r.upper, int(r.ok))
+        for r in reports
+    )
+    return buf.getvalue()
 
 
 @dataclass
@@ -396,8 +414,8 @@ def _check_hc_bounds(n, parent, degree, lv, d, ones, slack, bf):
     """hc = n - l lies between the completion bounds."""
     out, excess = hc_bound_counts(degree, parent)
     hc = n - lv
-    lower = _hc_lower(out, sum(excess))
-    upper = out - 1 - slack
+    lower, upper = hc_bounds(out, sum(excess))
+    upper -= slack
     return hc == lower, (() if lower <= hc <= upper else (("", d, hc, lower, upper),))
 
 

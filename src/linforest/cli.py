@@ -109,9 +109,12 @@ def _read_graph(path: str) -> Graph:
 def _write(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc.strerror}") from exc
 
 
 def _nth(i: int) -> Callable[[list[int]], int]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Optional, Sequence
 
-from .graph import Graph, RootedTree, TreeStats, _edges_acyclic, leaf_peel
+from .graph import Graph, RootedTree, _edges_acyclic, leaf_peel
 
 
 @dataclass(frozen=True)
@@ -196,17 +196,6 @@ def hc_of_tree(g: Graph) -> int:
     if g.n < 2:
         raise ValueError("hamiltonian completion needs n >= 2")
     return g.n - value
-
-
-def hc_lower_bound(stats: TreeStats) -> int:
-    """The completion lower bound of a tree, from its statistics."""
-    return _hc_lower(stats.out, stats.ex_sum)
-
-
-def _hc_lower(out: int, ex_sum: int) -> int:
-    """ceil((out + sum of excesses) / 2): every leaf, and every crowded-out
-    low-degree neighbor, must meet a new edge on a Hamiltonian cycle."""
-    return (out + ex_sum + 1) // 2
 
 
 def leaf_exchange(g: Graph, u_i: int, u_j: int) -> Graph:

@@ -391,22 +391,6 @@ def tree_diameter(g: Graph) -> int:
     return 2 * (layers - 1) + (len(order) - last) - 1
 
 
-@dataclass(frozen=True)
-class TreeStats:
-    """The counts of a tree behind the completion bounds.
-
-    ``out`` counts leaves. ``ex`` maps each inner vertex to how many of its
-    low-degree neighbors (degree < 3) exceed two; leaves are excluded.
-    """
-
-    out: int
-    ex: dict[int, int]
-
-    @property
-    def ex_sum(self) -> int:
-        return sum(self.ex.values())
-
-
 def hc_bound_counts(
     degree: Sequence[int], parent: Sequence[Optional[int]]
 ) -> tuple[int, list[int]]:
@@ -424,12 +408,10 @@ def hc_bound_counts(
     return degree.count(1), [c - 2 if c > 2 else 0 for c in low]
 
 
-def tree_stats(t: RootedTree) -> TreeStats:
-    """Leaf count and excess map of a tree, from its degrees and t's parent
-    pointers; every rooting gives the same counts."""
-    degree = [len(nbrs) for nbrs in t.graph.adjacency]
-    out, excess = hc_bound_counts(degree, t.parent)
-    return TreeStats(out=out, ex={v: c for v, c in enumerate(excess) if degree[v] >= 2})
+def tree_stats(t: RootedTree) -> tuple[int, list[int]]:
+    """hc_bound_counts of a tree, from its degrees and t's parent pointers;
+    every rooting gives the same counts."""
+    return hc_bound_counts([len(nbrs) for nbrs in t.graph.adjacency], t.parent)
 
 
 def to_dot(g: Graph, highlight: Iterable[tuple[int, int]] = ()) -> str:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import csv
 import hashlib
 import multiprocessing
 import os
@@ -17,19 +18,23 @@ from linforest import (
     diam_bounds_l,
     diam_upper_l_fine,
     enumerate_tree_arrays,
+    hc_bounds,
     kary_bounds_decycling,
     kary_bounds_l,
     kary_caterpillar,
     kary_caterpillar_l,
+    kary_tree,
     l_of_tree,
     line_graph,
     lower_spider,
+    num_labeled_trees,
     perfect_kary_decycling,
     perfect_kary_height,
     perfect_kary_l,
     perfect_kary_recurrence,
     perfect_kary_size,
     prufer_arrays,
+    prufer_decode,
     prufer_from_rank,
     random_kary_tree,
     reports_to_csv,
@@ -583,6 +588,40 @@ class TestReports:
         assert lines[1].startswith("check,description,n,d,")
         assert lines[2] == "diameter,tree,7,4,5,4,5,1"
 
+    def test_csv_reads_back(self):
+        """Descriptions such as prufer[0,1] hold commas; csv.reader splits
+        every row into the eight columns and gets each description back."""
+        reports = verify_theorems(6, SweepConfig(upper_slack=1)).violations
+        rows = list(csv.reader(reports_to_csv(reports).splitlines()[2:]))
+        assert len(rows) == len(reports)
+        assert all(len(row) == 8 for row in rows)
+        assert [row[1] for row in rows] == [r.description for r in reports]
+
     def test_text_line(self):
         report = BoundReport("hc-bounds", "tree", 5, None, 2, 1, 3, False)
         assert "VIOLATION" in report.to_text()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_theorems(5, n_min=1), "sweep starts at n=2"),
+    (lambda: perfect_kary_height(7, 1), "k must be at least 2, got 1"),
+    (lambda: perfect_kary_recurrence(1, 3), "need k >= 2 and h >= 1, got k=1, h=3"),
+    (lambda: perfect_kary_recurrence(2, 0), "need k >= 2 and h >= 1, got k=2, h=0"),
+    (lambda: t2_star(20, 6), "t2star needs an odd diameter, got 6"),
+    (lambda: list(enumerate_tree_arrays(4, 3, 2)), "invalid rank range [3, 2) for n=4"),
+    (lambda: list(enumerate_tree_arrays(0)), "need n >= 1, got 0"),
+    (lambda: prufer_from_rank(4, 16), "rank 16 out of range for n=4"),
+    (lambda: prufer_decode([], 0), "need n >= 1"),
+    (lambda: prufer_decode([0], 2), "sequence must be empty for n=2"),
+    (lambda: kary_tree(0, []), "k must be positive, got 0"),
+    (lambda: random_kary_tree(0, 1, 0), "k must be positive, got 0"),
+    (lambda: random_kary_tree(2, -1, 0), "internal count must be non-negative"),
+    (lambda: num_labeled_trees(0), "need n >= 1, got 0"),
+    (lambda: Graph(-1, []), "vertex count must be non-negative, got -1"),
+    (lambda: hc_bounds(1, 0), "completion bounds need out >= 2 leaves, got 1"),
+    (lambda: hc_bounds(3, -1), "completion bounds need ex_sum >= 0, got -1"),
+])
+def test_value_error_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -595,6 +595,24 @@ def test_import_loads_no_process_pool():
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "path", "5"],
+    ["compute", "l", "{graph}"],
+    ["verify", "4", "--threads", "1"],
+    ["linegraph", "{graph}"],
+    ["dot", "{graph}"],
+])
+def test_unwritable_out_is_2(tmp_path, capsys, argv):
+    """An --out in a missing directory is a usage error, not a traceback
+    with exit 1, which means violations found."""
+    graph = write_graph(tmp_path, path_graph(3))
+    out = tmp_path / "missing" / "x.txt"
+    argv = [a.format(graph=graph) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_usage_error_is_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
