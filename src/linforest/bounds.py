@@ -573,6 +573,16 @@ def _sweep_job(
     return _sweep_range((*job, _worker_tables[job[0]]))
 
 
+def check_sweep_range(n_max: int, n_min: int = 2) -> None:
+    """Raise ValueError unless verify_theorems can sweep n_min..n_max."""
+    if n_min < 2:
+        raise ValueError("sweep starts at n=2")
+    if n_max > ENUMERATION_CAP:
+        raise ValueError(f"n_max={n_max} exceeds enumeration cap {ENUMERATION_CAP}")
+    if n_max < n_min:
+        raise ValueError(f"n_max={n_max} is below n_min={n_min}: no tree to check")
+
+
 def verify_theorems(
     n_max: int,
     config: SweepConfig = SweepConfig(),
@@ -591,12 +601,7 @@ def verify_theorems(
     whatever ``processes`` asks for. Violations are returned as data, not
     raised; a range with no tree in it (n_max < n_min) raises ValueError.
     """
-    if n_min < 2:
-        raise ValueError("sweep starts at n=2")
-    if n_max > ENUMERATION_CAP:
-        raise ValueError(f"n_max={n_max} exceeds enumeration cap {ENUMERATION_CAP}")
-    if n_max < n_min:
-        raise ValueError(f"n_max={n_max} is below n_min={n_min}: no tree to check")
+    check_sweep_range(n_max, n_min)
     processes = min(processes, os.cpu_count() or 1)
     counts = {check: CheckCounts() for check in CHECKS}
     violations: list[BoundReport] = []

@@ -32,7 +32,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 # largest vertex count a graph file may declare: a header is read before
-# any edge, and the graph allocates one adjacency list per vertex
+# any edge, and the graph allocates a degree and a neighbor XOR per vertex
 MAX_CLI_VERTICES = 10**7
 
 
@@ -245,7 +245,7 @@ def _checked_line_graph(g: Graph, row: Optional[tuple], cap: Optional[int]) -> G
     MAX_CLI_VERTICES. L(g) has g.m vertices and one edge per pair of meeting
     edges; unless that is g.m - 1, it is no tree and only an oracle answers."""
     n = g.m
-    m = sum(len(nbrs) * (len(nbrs) - 1) // 2 for nbrs in g.adjacency)
+    m = sum(d * (d - 1) // 2 for d in g.deg)
     if row is not None:
         *_, tree, brute, counts, default = row
         if brute is not None and (tree is None or m != n - 1):
@@ -301,9 +301,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     processes = args.threads or os.cpu_count() or 1
     config = bounds.SweepConfig(upper_slack=1 if args.mutate_bounds else 0)
     try:
-        run = bounds.verify_theorems(args.n_max, config, processes=processes)
+        bounds.check_sweep_range(args.n_max)
     except ValueError as exc:  # n_max below 2 or above the enumeration cap
         raise CliError(str(exc)) from exc
+    if args.out is not None:
+        _write("", args.out)  # an unwritable path fails now, not after the sweep
+    run = bounds.verify_theorems(args.n_max, config, processes=processes)
     for line in run.summary_lines():
         print(line)
     if args.out is not None:

@@ -209,7 +209,7 @@ def leaf_exchange(g: Graph, u_i: int, u_j: int) -> Graph:
     for u in (u_i, u_j):
         if g.degree(u) != 1:
             raise ValueError(f"vertex {u} is not a leaf")
-    w_i = g.adjacency[u_i][0]
+    w_i = g.nbr_xor[u_i]  # a leaf's one neighbor
     old = (w_i, u_i) if w_i < u_i else (u_i, w_i)
     new = (u_i, u_j) if u_i < u_j else (u_j, u_i)
     if old == new:  # n == 2: the two leaves are adjacent
@@ -265,7 +265,7 @@ def hc_construct(g: Graph) -> Completion:
     n = g.n
     if n < 3:
         raise ValueError("hamiltonian completion construction needs n >= 3")
-    leaves = [v for v in range(n) if g.degree(v) == 1]
+    leaves = [v for v, d in enumerate(g.deg) if d == 1]
     # the rooting rejects every non-tree; one without leaves is rooted at 0
     parent = RootedTree(g, leaves[0] if leaves else 0).parent
     u0 = leaves[0]

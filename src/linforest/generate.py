@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from functools import partial
 from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
@@ -187,7 +188,7 @@ def prufer_encode(g: Graph) -> tuple[int, ...]:
         parent = RootedTree(g, n - 1).parent
     except ValueError:
         raise NotATree("prufer_encode needs a tree") from None
-    degree = [len(nbrs) for nbrs in g.adjacency]
+    degree = list(g.deg)
     heap = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(heap)
     seq = []
@@ -205,9 +206,13 @@ def random_tree(n: int, seed: int) -> Graph:
     sequence."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    rng = random.Random(seed)
-    seq = [rng.randrange(n) for _ in range(max(0, n - 2))]
-    return prufer_decode(seq, n)
+    # randrange(n) draws getrandbits(n.bit_length()) until the draw is
+    # below n, so the sequence is the first n - 2 such draws below n; every
+    # entry is in range, so the decode needs no check
+    draws = iter(partial(random.Random(seed).getrandbits, n.bit_length()), -1)
+    seq = list(islice(filter(n.__gt__, draws), max(0, n - 2)))
+    parent, order, _ = prufer_arrays(seq, n)
+    return _tree_graph(parent, order)
 
 
 def num_labeled_trees(n: int) -> int:

@@ -8,6 +8,7 @@ deterministic and bit-reproducible.
 from __future__ import annotations
 
 import gc
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -43,14 +44,49 @@ def _ordered_pairs(edges: Iterable[tuple[int, int]]) -> Iterator[Edge]:
             yield (v, u)
 
 
+def _adjacency_rows(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], ...]:
+    """The sorted neighbor tuple of each vertex, from sorted edge pairs."""
+    # n live lists and the row tuples hold only ints, so they form no
+    # cycle, yet each collection of the oldest generation would walk
+    # all of them: the cyclic collector is paused while they exist.
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        # sorted pairs fill each list in increasing order: x's neighbors
+        # u from pairs (u, x), u < x, arrive by increasing u, then those
+        # from pairs (x, v), v > x, by increasing v
+        adjacency: list[list[int]] = [[] for _ in range(n)]
+        for u, v in edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        # each list frees its items as soon as its tuple exists, so the
+        # two copies of the adjacency never exist together. The emptied
+        # lists are freed together at the end: freed one by one, their
+        # slots take the next tuples of their size, which spreads the
+        # rows of a large graph over half again as many memory pages.
+        rows: list[tuple[int, ...]] = []
+        for lst in adjacency:
+            rows.append(tuple(lst))
+            lst.clear()
+        del adjacency
+        return tuple(rows)
+    finally:
+        if was:
+            gc.enable()
+
+
 class Graph:
     """Undirected simple graph. Immutable after construction.
 
-    Edges are kept sorted; adjacency lists are sorted per vertex. No
-    self-loops, no duplicates, ids must be exactly in range(n).
+    Edges are kept sorted. No self-loops, no duplicates, ids must be
+    exactly in range(n). The build fills two per-vertex arrays, which
+    callers must not modify: ``deg``, the degrees, and ``nbr_xor``, the
+    XOR of each vertex's neighbor ids, which is a leaf's one neighbor.
+    The sorted adjacency rows are built on the first read of
+    ``adjacency``.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "_hash", "_edge_set")
+    __slots__ = ("n", "edges", "deg", "nbr_xor", "_adjacency", "_hash", "_edge_set")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], *, validate: bool = True):
         if n < 0:
@@ -67,45 +103,35 @@ class Graph:
                 if e == prev:
                     raise ValueError(f"duplicate edge ({u}, {v})")
                 prev = e
-        # n live lists and the row tuples hold only ints, so they form no
-        # cycle, yet each collection of the oldest generation would walk
-        # all of them: the cyclic collector is paused while they exist.
-        was = gc.isenabled()
-        gc.disable()
-        try:
-            # sorted pairs fill each list in increasing order: x's neighbors
-            # u from pairs (u, x), u < x, arrive by increasing u, then those
-            # from pairs (x, v), v > x, by increasing v
-            adjacency: list[list[int]] = [[] for _ in range(n)]
-            for u, v in normalized:
-                adjacency[u].append(v)
-                adjacency[v].append(u)
-            self.n = n
-            self.edges: tuple[Edge, ...] = tuple(normalized)
-            del normalized
-            # each list frees its items as soon as its tuple exists, so the
-            # two copies of the adjacency never exist together. The emptied
-            # lists are freed together at the end: freed one by one, their
-            # slots take the next tuples of their size, which spreads the
-            # rows of a large graph over half again as many memory pages.
-            rows: list[tuple[int, ...]] = []
-            for lst in adjacency:
-                rows.append(tuple(lst))
-                lst.clear()
-            del adjacency
-        finally:
-            if was:
-                gc.enable()
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(rows)
+        self.n = n
+        self.edges: tuple[Edge, ...] = tuple(normalized)
+        del normalized  # before the two arrays exist
+        deg = [0] * n
+        nbr_xor = array("q", bytes(8 * n))
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+            nbr_xor[u] ^= v
+            nbr_xor[v] ^= u
+        self.deg = deg
+        self.nbr_xor = nbr_xor
+        self._adjacency: Optional[tuple[tuple[int, ...], ...]] = None
         self._hash: Optional[int] = None
         self._edge_set: Optional[frozenset[Edge]] = None
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbors as a sorted tuple, built on first read."""
+        if self._adjacency is None:
+            self._adjacency = _adjacency_rows(self.n, self.edges)
+        return self._adjacency
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return self.deg[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return _normalize_edge(u, v) in self.edge_set()
@@ -328,19 +354,25 @@ def leaf_peel(
     stripped last anyway, and when the peel ends on the larger of two,
     the pair swaps its parent link and its places in ``order``.
 
-    A given ``root`` starts with its degree one higher, so it is queued
-    only when no other vertex is left and comes last; ``last`` and
-    ``layers`` then no longer describe the center.
+    A given ``root`` gets a phantom self-loop: one more degree holds it out
+    of the queue until no other vertex is left, and when it is stripped,
+    last, the one neighbor its XOR names is itself, so its parent is reset
+    to None; ``last`` and ``layers`` then no longer describe the center.
+
+    The peel runs on copies of ``g.deg`` and ``g.nbr_xor``: a vertex with
+    one neighbor left finds it in its XOR, and stripping it takes it out
+    of that neighbor's degree and XOR.
     """
     n = g.n
     if g.m != n - 1:
         raise NotATree("not a tree: edge count differs from n-1")
-    adjacency = g.adjacency
-    deg = [len(nbrs) for nbrs in adjacency]  # zeroed once stripped
+    deg = list(g.deg)  # neighbors left
+    xor = array("q", g.nbr_xor)  # their XOR
     if root is not None:
         if not 0 <= root < n:
             raise ValueError(f"root {root} out of range")
         deg[root] += 1
+        xor[root] ^= root
     parent: list[Optional[int]] = [None] * n
     order = [v for v in range(n) if deg[v] <= 1]
     i = last = 0
@@ -351,18 +383,19 @@ def leaf_peel(
             last, end = i, len(order)
             layers += 1
         i += 1
-        deg[v] = 0
-        for w in adjacency[v]:
-            if deg[w]:
-                parent[v] = w
-                d = deg[w] - 1
-                deg[w] = d
-                if d == 1:
-                    order.append(w)
-                break
+        if deg[v]:
+            p = xor[v]
+            parent[v] = p
+            xor[p] ^= v
+            d = deg[p] - 1
+            deg[p] = d
+            if d == 1:
+                order.append(p)
     if len(order) != n:
         raise NotATree("not a tree: graph contains a cycle")
-    if root is None and n - last == 2 and order[-2] < order[-1]:
+    if root is not None:
+        parent[root] = None
+    elif n - last == 2 and order[-2] < order[-1]:
         # root the two-vertex center at the smaller id
         small, large = order[-2], order[-1]
         order[-2], order[-1] = large, small
@@ -411,7 +444,7 @@ def hc_bound_counts(
 def tree_stats(t: RootedTree) -> tuple[int, list[int]]:
     """hc_bound_counts of a tree, from its degrees and t's parent pointers;
     every rooting gives the same counts."""
-    return hc_bound_counts([len(nbrs) for nbrs in t.graph.adjacency], t.parent)
+    return hc_bound_counts(t.graph.deg, t.parent)
 
 
 def to_dot(g: Graph, highlight: Iterable[tuple[int, int]] = ()) -> str:

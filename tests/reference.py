@@ -2,10 +2,11 @@
 
 None of these runs outside the tests. Each is the direct, slower form of
 something the package computes another way: depths and children of a
-rooted tree, the quadratic solver that scores every candidate child pair
-and builds both of its forests by two plain walks down (the root free,
-then the root capped) in place of the package's second-child chain, leaf
-exchange as a rewrite of the sweep's parent and order arrays, the
+rooted tree, the leaf peel as a walk over adjacency rows in place of the
+package's degree and neighbor-XOR arrays, the quadratic solver that
+scores every candidate child pair and builds both of its forests by two
+plain walks down (the root free, then the root capped) in place of the
+package's second-child chain, leaf exchange as a rewrite of the sweep's parent and order arrays, the
 completion-bound counts over an edge list, spanning trees by
 filtering edge subsets, and the three path oracles as they were before
 the path-layer kernel: the longest path and Hamiltonicity by
@@ -20,7 +21,7 @@ from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from linforest.forest import DpRecord, LinearForest
-from linforest.graph import Edge, Graph, RootedTree, _edges_acyclic
+from linforest.graph import Edge, Graph, NotATree, RootedTree, _edges_acyclic
 from linforest.oracle import (
     DEFAULT_HC_CAP,
     DEFAULT_VERTEX_CAP,
@@ -147,6 +148,50 @@ def hc_bound_counts_from_edges(
         if degree[u] < 3:
             low[v] += 1
     return degree.count(1), [c - 2 if c > 2 else 0 for c in low]
+
+
+def leaf_peel(
+    g: Graph, root: Optional[int] = None
+) -> tuple[list[Optional[int]], list[int], int, int]:
+    """graph.leaf_peel as a walk over the adjacency rows: a stripped
+    vertex's parent is its first neighbor whose count of neighbors left
+    is not zero, and a given root starts with its count one higher."""
+    n = g.n
+    if g.m != n - 1:
+        raise NotATree("not a tree: edge count differs from n-1")
+    adjacency = g.adjacency
+    deg = [len(nbrs) for nbrs in adjacency]  # zeroed once stripped
+    if root is not None:
+        if not 0 <= root < n:
+            raise ValueError(f"root {root} out of range")
+        deg[root] += 1
+    parent: list[Optional[int]] = [None] * n
+    order = [v for v in range(n) if deg[v] <= 1]
+    i = last = 0
+    layers = 1
+    end = len(order)  # the current layer is order[last:end]
+    for v in order:
+        if i == end:
+            last, end = i, len(order)
+            layers += 1
+        i += 1
+        deg[v] = 0
+        for w in adjacency[v]:
+            if deg[w]:
+                parent[v] = w
+                d = deg[w] - 1
+                deg[w] = d
+                if d == 1:
+                    order.append(w)
+                break
+    if len(order) != n:
+        raise NotATree("not a tree: graph contains a cycle")
+    if root is None and n - last == 2 and order[-2] < order[-1]:
+        # root the two-vertex center at the smaller id
+        small, large = order[-2], order[-1]
+        order[-2], order[-1] = large, small
+        parent[small], parent[large] = None, small
+    return parent, order, last, layers
 
 
 def spanning_trees(g: Graph) -> Iterator[Graph]:

@@ -477,6 +477,24 @@ class TestVerify:
         assert captured.out == ""
         assert f"n_max={n_max} is below n_min=2" in captured.err
 
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before --out was checked")
+
+        monkeypatch.setattr(cli.bounds, "verify_theorems", no_sweep)
+        out = tmp_path / "missing" / "r.txt"
+        assert main(["verify", "4", "--threads", "1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write {out}: " in captured.err
+
+    @pytest.mark.parametrize("n_max", ["1", "25"])
+    def test_bad_range_writes_no_out(self, tmp_path, capsys, n_max):
+        out = tmp_path / "r.txt"
+        assert main(["verify", n_max, "--threads", "1", "--out", str(out)]) == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_csv_needs_out(self, capsys):
         assert main(["verify", "5", "--threads", "1", "--format", "csv"]) == 2
         captured = capsys.readouterr()

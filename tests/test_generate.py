@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from linforest import (
@@ -129,6 +131,18 @@ class TestPrufer:
     def test_random_tree_deterministic(self):
         assert random_tree(9, 4) == random_tree(9, 4)
         assert random_tree(9, 4) != random_tree(9, 5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 2**16, 2**16 + 1])
+    def test_random_tree_draws_randrange(self, n):
+        """random_tree's sequence is that of n - 2 calls randrange(n),
+        which it draws with getrandbits; n = 2^16 + 1 rejects almost half
+        of its draws."""
+        for seed in range(5):
+            rng = random.Random(seed)
+            seq = tuple(rng.randrange(n) for _ in range(max(0, n - 2)))
+            g = random_tree(n, seed)
+            assert g == prufer_decode(seq, n)
+            assert prufer_encode(g) == seq
 
 
 class TestEnumeration:

@@ -14,10 +14,15 @@ from linforest import (
     ParseError,
     enumerate_trees,
     format_graph,
+    hc_construct,
+    hc_of_tree,
+    l_of_tree,
+    leaf_exchange,
     leaf_peel,
     line_graph,
     parse_graph,
     perfect_kary,
+    prufer_encode,
     random_tree,
     root_at_center,
     spider,
@@ -30,8 +35,10 @@ from linforest import (
     tree_diameter,
     tree_stats,
 )
-from linforest.graph import RootedTree
+from linforest.cli import main
+from linforest.graph import RootedTree, _adjacency_rows
 from reference import children, depth
+from reference import leaf_peel as adjacency_peel
 
 
 def min_eccentricity_vertices(g: Graph) -> tuple[int, ...]:
@@ -230,11 +237,12 @@ class TestParse:
 
 
 class TestBuildMemory:
-    """tracemalloc bytes per vertex at n = 10^5. Each adjacency list is
-    emptied as soon as its tuple is made, no caller keeps a second copy of
-    the edges while Graph sorts its own, and Graph keeps an input pair that
-    is already an ordered tuple, so a build peaks well under twice what the
-    finished graph keeps."""
+    """tracemalloc bytes per vertex at n = 10^5. Graph keeps its sorted
+    edges and two per-vertex arrays, not adjacency rows; no caller keeps a
+    second copy of the edges while Graph sorts its own, and Graph keeps an
+    input pair that is already an ordered tuple. Measured on Python 3.11:
+    random_tree keeps 124 B and peaks at 165 B, parse_graph keeps 136 B
+    and peaks at 230 B, line_graph peaks at 221 B."""
 
     N = 10**5
 
@@ -251,26 +259,68 @@ class TestBuildMemory:
     def test_random_tree(self):
         g, retained, peak = self.per_vertex(lambda: random_tree(self.N, 0))
         assert g.n == self.N
-        assert retained <= 200
-        assert peak <= 300
+        assert retained <= 140
+        assert peak <= 185
 
     def test_parse_graph(self):
         text = format_graph(random_tree(self.N, 2))
         g, retained, peak = self.per_vertex(lambda: parse_graph(text))
         assert g.m == self.N - 1
-        assert retained <= 200
-        assert peak <= 285
+        assert retained <= 150
+        assert peak <= 250
 
     def test_line_graph(self):
         g = random_tree(self.N, 3)
         lg, _, peak = self.per_vertex(lambda: line_graph(g))
         assert lg.graph.n == g.m
-        assert peak <= 300
+        assert peak <= 240
+
+
+class TestAdjacencyOnDemand:
+    """Graph builds its adjacency rows on first read, and the tree answers
+    read only the degree and neighbor-XOR arrays: none of them builds the
+    rows of a 10^5-vertex tree."""
+
+    N = 10**5
+
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        def refuse(g):
+            pytest.fail(f"adjacency rows of {g!r} built")
+
+        monkeypatch.setattr(Graph, "adjacency", property(refuse))
+
+    def test_built_once_on_first_read(self):
+        g = Graph(4, [(1, 3), (0, 1), (2, 1)])
+        assert g._adjacency is None
+        assert g.adjacency == ((1,), (0, 2, 3), (1,), (1,))
+        assert g.adjacency is g.adjacency
+        assert (g.deg, list(g.nbr_xor)) == ([1, 3, 1, 1], [1, 0 ^ 2 ^ 3, 1, 1])
+
+    @pytest.mark.parametrize("solve", [
+        l_of_tree, root_at_center, hc_of_tree, hc_construct, prufer_encode,
+        lambda g: tree_stats(root_at_center(g)),
+        lambda g: leaf_exchange(g, *[v for v in range(g.n) if g.degree(v) == 1][:2]),
+    ], ids=["l_of_tree", "root_at_center", "hc_of_tree", "hc_construct", "prufer_encode",
+            "tree_stats", "leaf_exchange"])
+    def test_tree_answers(self, no_rows, solve):
+        solve(random_tree(self.N, 4))
+
+    @pytest.mark.parametrize("tree, code, out", [
+        (path_graph, 0, "hc=1\n"),  # L(path) is a path: the tree answer
+        (lambda n: random_tree(n, 4), 2, ""),  # refused from the degrees
+    ], ids=["path", "random"])
+    def test_cli_hc_of_linegraph(self, no_rows, tmp_path, capsys, tree, code, out):
+        path = tmp_path / "t.txt"
+        path.write_text(format_graph(tree(self.N)))
+        assert main(["compute", "hc", str(path), "--of-linegraph", "--cap-oracle", "0"]) == code
+        assert capsys.readouterr().out == out
 
 
 class TestCollectorPause:
-    """Graph pauses the cyclic collector while it holds n per-vertex lists
-    of ints, which can form no cycle, and leaves it as it found it."""
+    """Building the adjacency rows pauses the cyclic collector while it
+    holds n per-vertex lists of ints, which can form no cycle, and leaves
+    it as it found it."""
 
     N = 10**5
 
@@ -279,10 +329,10 @@ class TestCollectorPause:
         was = gc.isenabled()
         try:
             (gc.enable if enabled else gc.disable)()
-            Graph(4, [(0, 1), (1, 2), (3, 1)])
+            Graph(4, [(0, 1), (1, 2), (3, 1)]).adjacency
             assert gc.isenabled() is enabled
             with pytest.raises(IndexError):
-                Graph(3, [(0, 5)], validate=False)  # raises while paused
+                _adjacency_rows(3, [(0, 5)])  # raises while paused
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
@@ -312,9 +362,9 @@ class TestCollectorPause:
         return len(full)
 
     def test_graph_runs_no_full_collection(self):
-        # 2 full collections without the pause
+        # 1 full collection without the pause
         edges = list(random_tree(self.N, 5).edges)
-        assert self.full_collections(lambda: Graph(self.N, edges)) == 0
+        assert self.full_collections(lambda: Graph(self.N, edges).adjacency) == 0
 
 
 class TestLineGraph:
@@ -444,6 +494,34 @@ class TestRooting:
                 assert g.has_edge(v, parent[v]) and position[parent[v]] > position[v]
             assert tuple(sorted(order[last:])) == tree_center(g)
             assert 2 * (layers - 1) + (len(order) - last) - 1 == d
+
+    def test_peel_matches_adjacency_walk(self):
+        """The peel on the degree and neighbor-XOR arrays gives the arrays
+        of the walk over adjacency rows on every labeled tree with n <= 7,
+        unrooted and held at each vertex."""
+        for n in range(1, 8):
+            for g in enumerate_trees(n):
+                for root in (None, *range(n)):
+                    assert leaf_peel(g, root) == adjacency_peel(g, root), (g.edges, root)
+
+    def test_peel_refuses_as_adjacency_walk(self):
+        """Every graph with at most 6 vertices and n - 1 edges that is not
+        a tree: the walk over adjacency rows's NotATree message, unrooted
+        and held at each vertex."""
+        refused = 0
+        for n in range(1, 7):
+            for edges in itertools.combinations(itertools.combinations(range(n), 2), n - 1):
+                g = Graph(n, edges)
+                if g.is_tree():
+                    continue
+                refused += 1
+                for root in (None, *range(n)):
+                    with pytest.raises(NotATree) as want:
+                        adjacency_peel(g, root)
+                    with pytest.raises(NotATree, match=f"^{want.value}$"):
+                        leaf_peel(g, root)
+        # C(n(n-1)/2, n-1) - n^(n-2) over n = 4, 5, 6
+        assert refused == (20 - 16) + (210 - 125) + (3003 - 1296)
 
     @pytest.mark.parametrize("root", [-1, 3])
     def test_peel_root_out_of_range(self, root):
