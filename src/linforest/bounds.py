@@ -17,6 +17,7 @@ from typing import ClassVar, Iterable, Optional
 from .forest import _forest_values, _value_without_leaf
 from .generate import (
     ENUMERATION_CAP,
+    _chain,
     enumerate_tree_arrays,
     kary_tree,
     num_labeled_trees,
@@ -155,16 +156,6 @@ def perfect_kary_decycling(n: int, k: int) -> int:
 
 # ---------------------------------------------------------------------------
 # extremal constructions
-
-
-def _chain(edges: list[tuple[int, int]], parent: int, length: int, nxt: int) -> tuple[int, int]:
-    """Append a path of ``length`` new vertices below ``parent``; returns
-    (last vertex, next free id)."""
-    for _ in range(length):
-        edges.append((parent, nxt))
-        parent = nxt
-        nxt += 1
-    return parent, nxt
 
 
 def lower_spider(n: int, d: int) -> Graph:
@@ -617,12 +608,6 @@ def verify_theorems(
             step = _ceil_div(total, processes * 4)
         jobs.extend((n, lo, min(lo + step, total), config) for lo in range(0, total, step))
 
-    def merge(result: tuple[dict[str, CheckCounts], list[BoundReport]]) -> None:
-        part, viol = result
-        for key, c in part.items():
-            counts[key].merge(c)
-        violations.extend(viol)
-
     if processes > 1:
         # imported here: a serial sweep, and every other command, never
         # loads the process-pool machinery
@@ -631,9 +616,11 @@ def verify_theorems(
         with ProcessPoolExecutor(
             max_workers=processes, initializer=_init_worker, initargs=(tables,)
         ) as pool:
-            for result in pool.map(_sweep_job, jobs):
-                merge(result)
+            results = list(pool.map(_sweep_job, jobs))
     else:
-        for n, lo, hi, cfg in jobs:
-            merge(_sweep_range((n, lo, hi, cfg, tables[n])))
+        results = (_sweep_range((*job, tables[job[0]])) for job in jobs)
+    for part, viol in results:  # in job order
+        for key, c in part.items():
+            counts[key].merge(c)
+        violations.extend(viol)
     return VerifyRun(n_min=n_min, n_max=n_max, trees=trees, counts=counts, violations=violations)

@@ -260,8 +260,10 @@ def _checked_line_graph(g: Graph, row: Optional[tuple], cap: Optional[int]) -> G
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input)
     cap = args.cap_oracle
+    if cap is not None and cap < 0:
+        raise CliError(f"--cap-oracle must be 0 or more, got {cap}")
+    g = _read_graph(args.input)
     row = _QUANTITIES[args.quantity]
     label, witness, write, tree, brute, _, _ = row
     try:

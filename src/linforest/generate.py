@@ -9,7 +9,7 @@ from functools import partial
 from itertools import islice, product
 from typing import Iterator, Optional, Sequence
 
-from .graph import Graph, NotATree, RootedTree
+from .graph import Graph, NotATree, leaf_peel
 
 #: Largest n accepted by enumerate_trees; n^(n-2) grows too fast beyond this.
 ENUMERATION_CAP = 10
@@ -36,15 +36,21 @@ def spider(leg_lengths: Sequence[int]) -> Graph:
     """Spider: paths of the given lengths (in edges) joined at center 0."""
     if any(length < 1 for length in leg_lengths):
         raise ValueError("leg lengths must be positive")
-    edges = []
+    edges: list[tuple[int, int]] = []
     nxt = 1
     for length in leg_lengths:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
+        _, nxt = _chain(edges, 0, length, nxt)
     return Graph(nxt, edges, validate=False)
+
+
+def _chain(edges: list[tuple[int, int]], parent: int, length: int, nxt: int) -> tuple[int, int]:
+    """Append a path of ``length`` new vertices below ``parent``; returns
+    (last vertex, next free id)."""
+    for _ in range(length):
+        edges.append((parent, nxt))
+        parent = nxt
+        nxt += 1
+    return parent, nxt
 
 
 def kary_tree(k: int, expansions: Sequence[int]) -> Graph:
@@ -179,13 +185,14 @@ def _tree_graph(parent: Sequence[Optional[int]], order: Sequence[int]) -> Graph:
 def prufer_encode(g: Graph) -> tuple[int, ...]:
     """Encode a labeled tree as its Prüfer sequence (inverse of decode).
 
-    The rooting at n-1 rejects every non-tree and names each vertex's
-    parent. The smallest-leaf strip never takes n-1 (a smaller leaf always
-    remains), so each stripped leaf's one remaining neighbor is its parent.
+    The leaf peel held at n-1 rejects every non-tree and names each
+    vertex's parent. The smallest-leaf strip never takes n-1 (a smaller
+    leaf always remains), so each stripped leaf's one remaining neighbor
+    is its parent.
     """
     n = g.n
     try:
-        parent = RootedTree(g, n - 1).parent
+        parent = leaf_peel(g, n - 1)[0]
     except ValueError:
         raise NotATree("prufer_encode needs a tree") from None
     degree = list(g.deg)

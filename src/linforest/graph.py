@@ -7,7 +7,6 @@ deterministic and bit-reproducible.
 
 from __future__ import annotations
 
-import gc
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -42,37 +41,6 @@ def _ordered_pairs(edges: Iterable[tuple[int, int]]) -> Iterator[Edge]:
             yield e if type(e) is tuple else (u, v)
         else:
             yield (v, u)
-
-
-def _adjacency_rows(n: int, edges: Sequence[Edge]) -> tuple[tuple[int, ...], ...]:
-    """The sorted neighbor tuple of each vertex, from sorted edge pairs."""
-    # n live lists and the row tuples hold only ints, so they form no
-    # cycle, yet each collection of the oldest generation would walk
-    # all of them: the cyclic collector is paused while they exist.
-    was = gc.isenabled()
-    gc.disable()
-    try:
-        # sorted pairs fill each list in increasing order: x's neighbors
-        # u from pairs (u, x), u < x, arrive by increasing u, then those
-        # from pairs (x, v), v > x, by increasing v
-        adjacency: list[list[int]] = [[] for _ in range(n)]
-        for u, v in edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        # each list frees its items as soon as its tuple exists, so the
-        # two copies of the adjacency never exist together. The emptied
-        # lists are freed together at the end: freed one by one, their
-        # slots take the next tuples of their size, which spreads the
-        # rows of a large graph over half again as many memory pages.
-        rows: list[tuple[int, ...]] = []
-        for lst in adjacency:
-            rows.append(tuple(lst))
-            lst.clear()
-        del adjacency
-        return tuple(rows)
-    finally:
-        if was:
-            gc.enable()
 
 
 class Graph:
@@ -123,7 +91,14 @@ class Graph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's neighbors as a sorted tuple, built on first read."""
         if self._adjacency is None:
-            self._adjacency = _adjacency_rows(self.n, self.edges)
+            # sorted pairs fill each list in increasing order: x's neighbors
+            # u from pairs (u, x), u < x, arrive by increasing u, then those
+            # from pairs (x, v), v > x, by increasing v
+            rows: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                rows[u].append(v)
+                rows[v].append(u)
+            self._adjacency = tuple(map(tuple, rows))
         return self._adjacency
 
     @property

@@ -188,6 +188,15 @@ class TestCompute:
         assert main(["compute", "longest-path", path, "--cap-oracle", "25"]) == 0
         assert capsys.readouterr().out.startswith("longest-path=24 ")
 
+    @pytest.mark.parametrize("quantity", list(cli._QUANTITIES))
+    def test_negative_cap_oracle(self, tmp_path, capsys, quantity):
+        # refused before the input is read: the file does not exist
+        missing = str(tmp_path / "missing.txt")
+        assert main(["compute", quantity, missing, "--cap-oracle", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().endswith("--cap-oracle must be 0 or more, got -1")
+
     def test_hc_construct_rejects_nontree(self, tmp_path, capsys):
         from linforest import Graph
 
